@@ -22,7 +22,6 @@ __all__ = [
     "poly_gcd",
     "poly_lcm",
     "poly_divmod",
-    "ratfn_reduce",
     "squarefree_decomposition",
 ]
 
@@ -526,8 +525,3 @@ class RatFn:
             return f"RatFn({ratfn_to_str(self)})"
         except Exception:
             return f"RatFn({self.num!r}/{self.den!r})"
-
-
-def ratfn_reduce(num: Poly, den: Poly) -> RatFn:
-    """Normal form of the fraction num/den: coprime, monic denominator."""
-    return RatFn(num, den)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from ..errors import InputError, ParseError
 from ..exactalg import QQ, Poly, RatFn
 from ..holomat import QuasiPolyEntry, QuasiPolyMat, TdsData
+from ..linalg_exact import DenseMat
 from ..polymat import PolyMat
 from ..ratmat import RatMat
 from ..sysmat import LAYOUTS, Amd
@@ -28,7 +29,8 @@ __all__ = [
     "save",
 ]
 
-_KINDS = ("polynomial", "rational", "quasipoly")
+_MATRIX_TYPES = {cls.kind: cls for cls in (PolyMat, RatMat, QuasiPolyMat)}
+_KINDS = tuple(_MATRIX_TYPES)
 _ALLOWED = {
     "polynomial": ("polynomial",),
     "rational": ("polynomial", "rational"),
@@ -70,23 +72,13 @@ class MatrixFile:
 
     @staticmethod
     def from_matrix(M, region=None) -> "MatrixFile":
-        if isinstance(M, PolyMat):
-            kind = "polynomial"
-        elif isinstance(M, RatMat):
-            kind = "rational"
-        elif isinstance(M, QuasiPolyMat):
-            kind = "quasipoly"
-        else:
+        if not isinstance(M, DenseMat):
             raise InputError(f"unsupported matrix type {type(M).__name__}")
-        return MatrixFile(kind=kind, rows=M.rows, cols=M.cols,
+        return MatrixFile(kind=M.kind, rows=M.rows, cols=M.cols,
                           entries=M.entries, region=region)
 
     def matrix(self):
-        if self.kind == "polynomial":
-            return PolyMat(self.entries)
-        if self.kind == "rational":
-            return RatMat(self.entries)
-        return QuasiPolyMat(self.entries)
+        return _MATRIX_TYPES[self.kind](self.entries)
 
 
 @dataclass(frozen=True)
@@ -118,10 +110,6 @@ class AmdFile:
 @dataclass(frozen=True)
 class TdsFile:
     data: TdsData
-
-    @staticmethod
-    def from_data(data: TdsData) -> "TdsFile":
-        return TdsFile(data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +161,7 @@ def dumps(obj) -> str:
         return _dump_amd(obj)
     if isinstance(obj, TdsFile):
         return _dump_tds(obj)
-    if isinstance(obj, (PolyMat, RatMat, QuasiPolyMat)):
+    if isinstance(obj, DenseMat):
         return _dump_matrix(MatrixFile.from_matrix(obj))
     if isinstance(obj, Amd):
         return _dump_amd(AmdFile.from_amd(obj))

@@ -9,13 +9,7 @@ from __future__ import annotations
 from ..errors import InputError
 from ..exactalg import GaussRat, Poly, RatFn
 
-__all__ = ["rat_to_str", "poly_to_str", "ratfn_to_str", "qp_to_str"]
-
-
-def rat_to_str(c: GaussRat) -> str:
-    if not c.is_real:
-        raise InputError("cannot render a non-real coefficient")
-    return str(c.re)
+__all__ = ["poly_to_str", "ratfn_to_str", "qp_to_str"]
 
 
 def _term_str(c: GaussRat, d: int) -> str:

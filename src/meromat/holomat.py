@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .errors import (
     ConvergenceError,
     InputError,
 )
-from .exactalg import QQ, Poly
+from .exactalg import QQ, GaussRat, Poly
+from .linalg_exact import DenseMat
 from .polymat import PolyMat
 from .ratmat import IndexTuple, RatMat
 
@@ -32,8 +34,6 @@ __all__ = [
     "CountResult",
     "TdsData",
     "as_evaluable",
-    "qp_eval",
-    "qp_eval_deriv",
     "qp_is_regular",
     "qp_transfer_closure",
     "nrank_sampled",
@@ -161,126 +161,19 @@ class QuasiPolyEntry:
             return f"QuasiPolyEntry({self.terms!r})"
 
 
-class QuasiPolyMat:
+class QuasiPolyMat(DenseMat):
     """Dense matrix of quasi-polynomial entries."""
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        grid = tuple(tuple(QuasiPolyEntry.coerce(e) for e in row)
-                     for row in entries)
-        if grid and any(len(row) != len(grid[0]) for row in grid):
-            raise InputError("ragged quasi-polynomial matrix")
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiPolyMat is immutable")
-
-    @staticmethod
-    def from_polymat(A: PolyMat) -> "QuasiPolyMat":
-        return QuasiPolyMat(A.entries)
-
-    @staticmethod
-    def identity(n: int) -> "QuasiPolyMat":
-        return QuasiPolyMat.from_polymat(PolyMat.identity(n))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "QuasiPolyMat":
-        return QuasiPolyMat.from_polymat(PolyMat.zeros(rows, cols))
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, QuasiPolyMat):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __neg__(self):
-        return QuasiPolyMat([[-e for e in row] for row in self.entries])
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("matrix addition: shape mismatch")
-        return QuasiPolyMat([[a + b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def transpose(self) -> "QuasiPolyMat":
-        return QuasiPolyMat(list(zip(*self.entries))) if self.entries else self
-
-    def hstack(self, other: "QuasiPolyMat") -> "QuasiPolyMat":
-        if self.rows != other.rows:
-            raise InputError("hstack: row counts differ")
-        return QuasiPolyMat([a + b for a, b in
-                             zip(self.entries, other.entries)])
-
-    def vstack(self, other: "QuasiPolyMat") -> "QuasiPolyMat":
-        if self.cols != other.cols:
-            raise InputError("vstack: column counts differ")
-        return QuasiPolyMat(self.entries + other.entries)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return all(e.is_polynomial for row in self.entries for e in row)
+    __slots__ = DenseMat.SLOTS
+    entry = QuasiPolyEntry
+    kind = "quasipoly"
 
     def to_polymat(self) -> PolyMat:
         return PolyMat([[e.to_poly() for e in row] for row in self.entries])
 
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def eval(self, z: complex):
-        return np.array([[e(z) for e in row] for row in self.entries],
-                        dtype=complex)
-
-    def eval_deriv(self, z: complex):
-        return np.array([[e.derivative()(z) for e in row]
-                         for row in self.entries], dtype=complex)
-
-    def __repr__(self):
-        return f"QuasiPolyMat({self.rows}x{self.cols})"
-
-
-def qp_eval(M: QuasiPolyMat, z: complex):
-    return M.eval(z)
-
-
-def qp_eval_deriv(M: QuasiPolyMat, z: complex):
-    return M.eval_deriv(z)
-
 
 # ---------------------------------------------------------------------------
 # evaluable wrappers
-
-
-class _RatEvaluable:
-    """Evaluable view of an exact rational matrix with exact derivative."""
-
-    __slots__ = ("grid", "dgrid", "shape")
-
-    def __init__(self, M: RatMat):
-        self.grid = M.entries
-        self.dgrid = tuple(tuple(e.derivative() for e in row)
-                           for row in M.entries)
-        self.shape = (M.rows, M.cols)
-
-    def eval(self, z: complex):
-        return np.array([[e(z) for e in row] for row in self.grid],
-                        dtype=complex)
-
-    def eval_deriv(self, z: complex):
-        return np.array([[e(z) for e in row] for row in self.dgrid],
-                        dtype=complex)
 
 
 class _QpTransferEvaluable:
@@ -315,13 +208,9 @@ def qp_transfer_closure(H) -> _QpTransferEvaluable:
 
 
 def as_evaluable(M):
-    """Adapt exact matrix types to the eval/eval_deriv interface."""
+    """Check that M has the eval/eval_deriv interface."""
     if hasattr(M, "eval_deriv") and hasattr(M, "eval"):
         return M
-    if isinstance(M, PolyMat):
-        return _RatEvaluable(RatMat.from_polymat(M))
-    if isinstance(M, RatMat):
-        return _RatEvaluable(M)
     raise InputError(f"cannot evaluate object of type {type(M).__name__}")
 
 
@@ -729,14 +618,14 @@ def _default_pole_order(M, lam: complex) -> int:
 
 
 def _numeric_multiplicity(p: Poly, lam: complex) -> int:
-    from .ratmat import _exact_point
-
-    try:
-        ex = _exact_point(lam)
-        if not p.eval_exact(ex):
-            return p.multiplicity_at(ex)
-    except InputError:
-        pass
+    """Multiplicity in p of the rational point nearest lam (denominators
+    up to 10^12), or 0 when that point is not an exact root of p."""
+    re = Fraction(lam.real).limit_denominator(10 ** 12)
+    im = Fraction(lam.imag).limit_denominator(10 ** 12)
+    ex = GaussRat(QQ(re.numerator, re.denominator),
+                  QQ(im.numerator, im.denominator))
+    if not p.eval_exact(ex):
+        return p.multiplicity_at(ex)
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Polynomial-matrix algorithms: Smith form, normal rank, structure
-factorizations, gcrd/gcld, coprimeness certificates and Bezout equations.
+"""Polynomial-matrix algorithms: Smith and Hermite forms, normal rank,
+gcrd/gcld, coprimeness certificates and Bezout equations.
 
 All computations are exact over Gaussian-rational coefficients.
 """
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from . import linalg_exact
 from .errors import (
+    AnalysisError,
     InputError,
     NoSolutionError,
     NotCoprimeError,
@@ -25,7 +26,6 @@ __all__ = [
     "GcrdResult",
     "smith_form",
     "nrank",
-    "right_structure",
     "gcrd",
     "gcld",
     "are_right_coprime",
@@ -38,149 +38,16 @@ __all__ = [
     "hermite_form",
 ]
 
-_P_ZERO = Poly.zero()
-_P_ONE = Poly.one()
 
-
-class PolyMat:
+class PolyMat(linalg_exact.DenseMat):
     """Dense matrix of polynomials, stored as a tuple of row tuples."""
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        grid = tuple(tuple(Poly.coerce(e) for e in row) for row in entries)
-        if grid and any(len(row) != len(grid[0]) for row in grid):
-            raise InputError("ragged polynomial matrix")
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMat is immutable")
-
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def identity(n: int) -> "PolyMat":
-        return PolyMat([[_P_ONE if i == j else _P_ZERO for j in range(n)]
-                        for i in range(n)])
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "PolyMat":
-        return PolyMat([[_P_ZERO] * cols for _ in range(rows)])
-
-    @staticmethod
-    def diag(values, rows=None, cols=None) -> "PolyMat":
-        values = [Poly.coerce(v) for v in values]
-        r = rows if rows is not None else len(values)
-        c = cols if cols is not None else len(values)
-        out = [[_P_ZERO] * c for _ in range(r)]
-        for i, v in enumerate(values):
-            out[i][i] = v
-        return PolyMat(out)
-
-    # -- shape helpers ---------------------------------------------------
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMat):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def transpose(self) -> "PolyMat":
-        return PolyMat(list(zip(*self.entries))) if self.entries else self
-
-    def submatrix(self, row_slice, col_slice) -> "PolyMat":
-        rows = self.entries[row_slice]
-        return PolyMat([row[col_slice] for row in rows])
-
-    def hstack(self, other: "PolyMat") -> "PolyMat":
-        if self.rows != other.rows:
-            raise InputError("hstack: row counts differ")
-        return PolyMat([a + b for a, b in zip(self.entries, other.entries)])
-
-    def vstack(self, other: "PolyMat") -> "PolyMat":
-        if self.cols != other.cols:
-            raise InputError("vstack: column counts differ")
-        return PolyMat(self.entries + other.entries)
-
-    @staticmethod
-    def block(blocks) -> "PolyMat":
-        """Assemble from a 2-d grid of conformal PolyMat blocks."""
-        strips = []
-        for brow in blocks:
-            strip = brow[0]
-            for b in brow[1:]:
-                strip = strip.hstack(b)
-            strips.append(strip)
-        out = strips[0]
-        for s in strips[1:]:
-            out = out.vstack(s)
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("matrix addition: shape mismatch")
-        return PolyMat([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyMat([[-e for e in row] for row in self.entries])
-
-    def __matmul__(self, other: "PolyMat") -> "PolyMat":
-        if self.cols != other.rows:
-            raise InputError("matrix product: shape mismatch")
-        ot = other.entries
-        out = []
-        for row in self.entries:
-            new = []
-            for j in range(other.cols):
-                acc = _P_ZERO
-                for k in range(self.cols):
-                    if row[k] and ot[k][j]:
-                        acc = acc + row[k] * ot[k][j]
-                new.append(acc)
-            out.append(new)
-        return PolyMat(out)
-
-    def scale(self, p) -> "PolyMat":
-        p = Poly.coerce(p)
-        return PolyMat([[e * p for e in row] for row in self.entries])
-
-    def map(self, fn) -> "PolyMat":
-        return PolyMat([[fn(e) for e in row] for row in self.entries])
-
-    # -- conversions --------------------------------------------------------
+    __slots__ = linalg_exact.DenseMat.SLOTS
+    entry = Poly
+    kind = "polynomial"
 
     def to_ratfn_grid(self):
         return [[RatFn(e) for e in row] for row in self.entries]
-
-    def eval(self, z: complex):
-        import numpy as np
-
-        return np.array([[e(z) for e in row] for row in self.entries],
-                        dtype=complex)
-
-    def max_degree(self) -> int:
-        return max((e.degree for row in self.entries for e in row), default=-1)
-
-    def __repr__(self):
-        return f"PolyMat({self.rows}x{self.cols})"
 
 
 @dataclass(frozen=True)
@@ -238,14 +105,9 @@ def is_unimodular(A: PolyMat) -> bool:
     return (not d.is_zero) and d.is_constant
 
 
-def inverse_ratfn(A: PolyMat):
-    """Inverse of a regular polynomial matrix, as a RatFn grid."""
-    return linalg_exact.inverse(A.to_ratfn_grid())
-
-
 def inverse_unimodular(A: PolyMat) -> PolyMat:
     """Exact polynomial inverse of a unimodular matrix."""
-    inv = inverse_ratfn(A)
+    inv = linalg_exact.inverse(A.to_ratfn_grid())
     try:
         return PolyMat([[e.to_poly() for e in row] for row in inv])
     except InputError:
@@ -404,16 +266,6 @@ def hermite_form(D: PolyMat) -> tuple[PolyMat, PolyMat]:
     return PolyMat(h), PolyMat(u)
 
 
-def right_structure(A: PolyMat) -> tuple[PolyMat, PolyMat]:
-    """Factor A = E1 @ DR with E1 left invertible over the polynomials and
-    DR of full row normal rank carrying the non-unit invariant factors."""
-    dec = smith_form(A)
-    r = dec.nrank
-    e1 = dec.E.submatrix(slice(None), slice(0, r))
-    dr = dec.S.submatrix(slice(0, r), slice(None)) @ dec.F
-    return e1, dr
-
-
 def gcrd(A: PolyMat, B: PolyMat) -> GcrdResult:
     """Greatest common right divisor of A and B via the Smith form of the
     stacked matrix, canonicalized to upper-triangular Hermite form."""
@@ -467,7 +319,8 @@ def are_right_coprime(A: PolyMat, B: PolyMat):
     if dec.nrank < n or any(not p.is_constant for p in dec.invariant_factors):
         return False, None
     res = gcrd(A, B)
-    assert res.D == PolyMat.identity(n)
+    if res.D != PolyMat.identity(n):
+        raise AnalysisError("gcrd of a coprime pair is not the identity")
     return True, BezoutCertificate(res.X, res.Y)
 
 
@@ -512,7 +365,7 @@ def solve_bezout(A: PolyMat, B: PolyMat, C: PolyMat):
 def _right_quotient(C: PolyMat, D: PolyMat):
     """R with C = R @ D if one exists over the polynomials, else None."""
     dinv = linalg_exact.inverse(D.to_ratfn_grid())
-    r = linalg_exact.matmul([[RatFn(e) for e in row] for row in C.entries], dinv)
+    r = linalg_exact.matmul(C.to_ratfn_grid(), dinv)
     out = []
     for row in r:
         new = []
@@ -532,19 +385,3 @@ def left_quotient(C: PolyMat, D: PolyMat):
 
 def right_quotient(C: PolyMat, D: PolyMat):
     return _right_quotient(C, D)
-
-
-def minor_gcd(A: PolyMat, k: int) -> Poly:
-    """Monic gcd of all k x k minors; the determinantal-divisor oracle."""
-    from itertools import combinations
-
-    from .exactalg import poly_gcd
-
-    g = Poly.zero()
-    for rows in combinations(range(A.rows), k):
-        for cols in combinations(range(A.cols), k):
-            sub = PolyMat([[A.entries[i][j] for j in cols] for i in rows])
-            g = poly_gcd(g, det(sub))
-            if g == Poly.one():
-                return g
-    return g

@@ -1,14 +1,15 @@
-"""Rational-matrix structure theory: Smith-McMillan form, zero and pole
-classification, structural indices, coprime matrix-fraction descriptions,
-least order and McMillan degree.
+"""Rational-matrix structure theory: Smith-McMillan form, root handles and
+divisors, structural indices, coprime matrix-fraction descriptions, least
+order and McMillan degree.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import polymat
+from . import linalg_exact, polymat
 from .errors import InputError, NotCoprimeError
 from .exactalg import (
     QQ,
@@ -30,7 +31,6 @@ __all__ = [
     "Mfd",
     "poly_roots",
     "smith_mcmillan",
-    "classify_points",
     "zero_index",
     "pole_index",
     "pole_zero_index",
@@ -45,73 +45,12 @@ __all__ = [
 _P_ONE = Poly.one()
 
 
-class RatMat:
+class RatMat(linalg_exact.DenseMat):
     """Dense matrix of reduced rational functions."""
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        grid = tuple(tuple(RatFn.coerce(e) for e in row) for row in entries)
-        if grid and any(len(row) != len(grid[0]) for row in grid):
-            raise InputError("ragged rational matrix")
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMat is immutable")
-
-    @staticmethod
-    def from_polymat(A: PolyMat) -> "RatMat":
-        return RatMat(A.entries)
-
-    @staticmethod
-    def identity(n: int) -> "RatMat":
-        return RatMat.from_polymat(PolyMat.identity(n))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RatMat":
-        return RatMat.from_polymat(PolyMat.zeros(rows, cols))
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, RatMat):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def transpose(self) -> "RatMat":
-        return RatMat(list(zip(*self.entries))) if self.entries else self
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("matrix addition: shape mismatch")
-        return RatMat([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RatMat([[-e for e in row] for row in self.entries])
-
-    def __matmul__(self, other: "RatMat") -> "RatMat":
-        if self.cols != other.rows:
-            raise InputError("matrix product: shape mismatch")
-        from . import linalg_exact
-
-        return RatMat(linalg_exact.matmul(
-            [list(r) for r in self.entries],
-            [list(r) for r in other.entries]))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+    __slots__ = linalg_exact.DenseMat.SLOTS
+    entry = RatFn
+    kind = "rational"
 
     @property
     def is_polynomial(self) -> bool:
@@ -121,21 +60,15 @@ class RatMat:
         return PolyMat([[e.to_poly() for e in row] for row in self.entries])
 
     def nrank(self) -> int:
-        from . import linalg_exact
-
-        return linalg_exact.rank([list(r) for r in self.entries])
+        return linalg_exact.rank(self.entries)
 
     def det(self) -> RatFn:
-        from . import linalg_exact
-
         if self.rows != self.cols:
             raise InputError("determinant of a non-square matrix")
-        return linalg_exact.det([list(r) for r in self.entries])
+        return linalg_exact.det(self.entries)
 
     def inverse(self) -> "RatMat":
-        from . import linalg_exact
-
-        return RatMat(linalg_exact.inverse([list(r) for r in self.entries]))
+        return RatMat(linalg_exact.inverse(self.entries))
 
     def denominator_lcm(self) -> Poly:
         d = _P_ONE
@@ -143,15 +76,6 @@ class RatMat:
             for e in row:
                 d = poly_lcm(d, e.den)
         return d.monic()
-
-    def eval(self, z: complex):
-        import numpy as np
-
-        return np.array([[e(z) for e in row] for row in self.entries],
-                        dtype=complex)
-
-    def __repr__(self):
-        return f"RatMat({self.rows}x{self.cols})"
 
 
 # ---------------------------------------------------------------------------
@@ -406,33 +330,18 @@ def smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     )
 
 
-def classify_points(M: RatMat):
-    """Split the structural points of M into eigenvalues, eigenpoles, and
-    the pole/zero divisors of ψ_A and φ_A."""
-    dec = smith_mcmillan(M)
-    phi, psi = dec.phi_total, dec.psi_total
-    zeros = Divisor.of_zeros(phi)
-    poles = Divisor.of_zeros(psi)
-    common = poly_gcd(phi, psi)
-    eip = set() if common.is_constant else {h for h, _ in poly_roots(common)}
-    eig = set()
-    if not phi.is_constant:
-        for h, _ in poly_roots(phi):
-            if h not in eip:
-                eig.add(h)
-    return eig, eip, poles, zeros
-
-
 def _exact_point(point) -> GaussRat:
+    """The exact point of an index query. Floats and complex numbers are
+    refused: the answer would be for their binary value, not the point
+    meant."""
     if isinstance(point, RootHandle):
         if not point.is_exact:
             raise InputError("structural indices need an exact point")
         return point.exact
-    if isinstance(point, complex):
-        re = Fraction(point.real).limit_denominator(10 ** 12)
-        im = Fraction(point.imag).limit_denominator(10 ** 12)
-        return GaussRat(QQ(re.numerator, re.denominator),
-                        QQ(im.numerator, im.denominator))
+    if (isinstance(point, numbers.Complex)
+            and not isinstance(point, numbers.Rational)):
+        raise InputError("structural indices need an exact point, not "
+                         f"the {type(point).__name__} {point!r}")
     return GaussRat.coerce(point)
 
 

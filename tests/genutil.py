@@ -75,6 +75,22 @@ def rand_ratmat(rng: random.Random, rows: int, cols: int) -> RatMat:
                    for _ in range(rows)])
 
 
+def minor_gcd(A: PolyMat, k: int) -> Poly:
+    """Monic gcd of all k x k minors; the determinantal-divisor oracle."""
+    from itertools import combinations
+
+    from meromat.exactalg import poly_gcd
+
+    g = Poly.zero()
+    for rows in combinations(range(A.rows), k):
+        for cols in combinations(range(A.cols), k):
+            sub = PolyMat([[A.entries[i][j] for j in cols] for i in rows])
+            g = poly_gcd(g, polymat.det(sub))
+            if g == Poly.one():
+                return g
+    return g
+
+
 def local_exponent_oracle(M: RatMat, lam) -> tuple:
     """Brute-force local exponents of M at an exact point: delta_k is the
     minimal order over all k x k minors, tau_k = delta_k - delta_{k-1}."""

@@ -9,6 +9,7 @@ import pytest
 
 from genutil import (
     local_exponent_oracle,
+    minor_gcd,
     rand_irreducible_amd,
     rand_left_coprime_amd,
     rand_polymat,
@@ -76,7 +77,7 @@ def test_smith_form_oracle_suite():
             if k > 1:
                 assert dec.invariant_factors[k - 2].divides(phi)
             prod = prod * phi
-            assert polymat.minor_gcd(a, k) == prod.monic()
+            assert minor_gcd(a, k) == prod.monic()
 
 
 # 2. Smith-McMillan form and structural indices

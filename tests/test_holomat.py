@@ -28,6 +28,7 @@ from meromat.holomat import (
     tds_pole_count,
     tds_state_block,
 )
+from meromat.polymat import PolyMat
 from meromat.ratmat import RatMat
 
 Z = Poly.z()
@@ -66,6 +67,59 @@ class TestQuasiPolyEntry:
         e = qp([(ONE, QQ(2))])
         with pytest.raises(AnalysisError):
             e(complex(-400, 0))
+
+
+MATRIX_TYPES = [PolyMat, RatMat, QuasiPolyMat]
+POINTS = [0.3 + 0.1j, -1.2 + 0.7j, 2.0 - 0.5j]
+
+
+def sample_grid():
+    return [[Z * Z - ONE, Z], [Poly.const(QQ(3)), Z * Z * Z]]
+
+
+class TestDenseMat:
+    @pytest.mark.parametrize("cls", MATRIX_TYPES)
+    def test_ragged_rejected(self, cls):
+        with pytest.raises(InputError):
+            cls([[ONE, Z], [ONE]])
+
+    @pytest.mark.parametrize("cls", MATRIX_TYPES)
+    def test_immutable(self, cls):
+        m = cls(sample_grid())
+        with pytest.raises(AttributeError):
+            m.rows = 3
+        with pytest.raises(AttributeError):
+            m.extra = 1
+
+    @pytest.mark.parametrize("cls", MATRIX_TYPES)
+    def test_equality_is_per_class(self, cls):
+        m = cls(sample_grid())
+        twin = cls(sample_grid())
+        assert m == twin and hash(m) == hash(twin)
+        for other in MATRIX_TYPES:
+            if other is not cls:
+                assert m != other(sample_grid())
+
+    @pytest.mark.parametrize("cls", MATRIX_TYPES)
+    def test_identity_is_neutral(self, cls):
+        m = cls(sample_grid())
+        assert cls.identity(2) @ m == m
+        assert m @ cls.identity(2) == m
+
+    def test_polymat_evaluates_like_ratmat(self):
+        p = PolyMat(sample_grid())
+        r = RatMat.from_polymat(p)
+        for z in POINTS:
+            assert (p.eval(z) == r.eval(z)).all()
+            assert (p.eval_deriv(z) == r.eval_deriv(z)).all()
+
+    def test_quasipoly_derivative_is_cached_and_exact(self):
+        m = QuasiPolyMat([[qp([(Z, QQ(0)), (ONE, QQ(1))]), Z],
+                          [qp([(Z * Z, QQ(1, 2))]), ONE]])
+        for z in POINTS + POINTS:
+            want = np.array([[e.derivative()(z) for e in row]
+                             for row in m.entries])
+            assert (m.eval_deriv(z) == want).all()
 
 
 class TestCounting:

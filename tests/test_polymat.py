@@ -2,16 +2,29 @@ import random
 
 import pytest
 
-from genutil import rand_polymat, rand_regular_polymat, rand_unimodular
+from genutil import (
+    minor_gcd,
+    rand_polymat,
+    rand_regular_polymat,
+    rand_unimodular,
+)
 from meromat import polymat
 from meromat.errors import (
+    AnalysisError,
     InputError,
     NoSolutionError,
     RankDeficientError,
     SingularMatrixError,
 )
 from meromat.exactalg import QQ, Poly
-from meromat.polymat import PolyMat, gcld, gcrd, hermite_form, smith_form
+from meromat.polymat import (
+    GcrdResult,
+    PolyMat,
+    gcld,
+    gcrd,
+    hermite_form,
+    smith_form,
+)
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -87,7 +100,7 @@ class TestSmith:
             prod = ONE
             for k, phi in enumerate(dec.invariant_factors, start=1):
                 prod = prod * phi
-                assert polymat.minor_gcd(a, k) == prod.monic()
+                assert minor_gcd(a, k) == prod.monic()
 
 
 class TestHermite:
@@ -171,6 +184,20 @@ class TestCoprime:
         b = PolyMat([[Z * Z]])
         ok, cert = polymat.are_right_coprime(a, b)
         assert not ok and cert is None
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        a = PolyMat([[Z]])
+        b = PolyMat([[Z - ONE]])
+        real = polymat.gcrd
+
+        def bad_gcrd(x, y):
+            res = real(x, y)
+            return GcrdResult(D=res.D @ PolyMat([[Z]]), Q1=res.Q1, Q2=res.Q2,
+                              X=res.X, Y=res.Y)
+
+        monkeypatch.setattr(polymat, "gcrd", bad_gcrd)
+        with pytest.raises(AnalysisError):
+            polymat.are_right_coprime(a, b)
 
     def test_completion_unimodular(self):
         rng = random.Random(12)

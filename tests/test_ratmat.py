@@ -131,6 +131,20 @@ class TestSmithMcMillan:
         assert pole_zero_index(m, 0).values == (-1, 1)
 
 
+    @pytest.mark.parametrize("point", [2 ** 0.5, 1 + 0j])
+    def test_float_point_rejected(self, point):
+        m = RatMat([[Z * Z - Poly.const(QQ(2))]])
+        for query in (zero_index, pole_index, pole_zero_index):
+            with pytest.raises(InputError):
+                query(m, point)
+
+    @pytest.mark.parametrize(
+        "point", [QQ(1), 1, GaussRat(QQ(1)), RootHandle(exact=QQ(1))])
+    def test_exact_point_accepted(self, point):
+        m = RatMat([[Z * Z - Poly.const(QQ(2))]])
+        res = pole_zero_index(m, point)
+        assert res.point == GaussRat(QQ(1)) and res.values == (0,)
+
 class TestMfd:
     def test_right_reconstruction(self):
         rng = random.Random(22)
