@@ -41,6 +41,9 @@ class GaussRat:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    def __reduce__(self):
+        return GaussRat, (self.re, self.im)
+
     @staticmethod
     def coerce(value) -> "GaussRat":
         if isinstance(value, GaussRat):
@@ -145,6 +148,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
 
     # -- constructors ------------------------------------------------
 
@@ -439,6 +445,9 @@ class RatFn:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFn is immutable")
+
+    def __reduce__(self):
+        return RatFn, (self.num, self.den)
 
     @staticmethod
     def coerce(value) -> "RatFn":

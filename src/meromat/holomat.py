@@ -75,6 +75,9 @@ class QuasiPolyEntry:
     def __setattr__(self, name, value):
         raise AttributeError("QuasiPolyEntry is immutable")
 
+    def __reduce__(self):
+        return QuasiPolyEntry, (self.terms,)
+
     @staticmethod
     def coerce(value) -> "QuasiPolyEntry":
         if isinstance(value, QuasiPolyEntry):

@@ -2,7 +2,8 @@
 dense-matrix base that PolyMat, RatMat and QuasiPolyMat share.
 
 `rank`, `det` and `inverse` work on grids of RatFn; `matmul` works on
-grids of any entry ring, given that ring's zero.
+grids of any entry ring, given that ring's zero and the column count of
+the product, which a grid with no rows cannot carry.
 """
 
 from __future__ import annotations
@@ -87,10 +88,9 @@ def inverse(m):
     return [row[n:] for row in a]
 
 
-def matmul(a, b, zero=_R_ZERO):
+def matmul(a, b, zero, cols):
     inner = len(b)
     assert all(len(row) == inner for row in a)
-    cols = len(b[0]) if b else 0
     out = []
     for row in a:
         new = []
@@ -113,7 +113,8 @@ class DenseMat:
     `kind`, the tag of the `meromat/1` file format, and declares the slots
     `SLOTS` on itself, so that code reading `type(M).__slots__` sees the
     fields of a matrix. Matrices of different subclasses never compare
-    equal, even with equal entries.
+    equal, even with equal entries. A matrix with no rows keeps the column
+    count `cols` that its constructor is given.
     """
 
     __slots__ = ()
@@ -127,19 +128,22 @@ class DenseMat:
         cls._zero = cls.entry.coerce(0)
         cls._one = cls.entry.coerce(1)
 
-    def __init__(self, entries):
+    def __init__(self, entries, cols=0):
         coerce = self.entry.coerce
         grid = tuple(tuple(coerce(e) for e in row) for row in entries)
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise InputError(f"ragged {self.kind} matrix")
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
+        object.__setattr__(self, "cols", len(grid[0]) if grid else cols)
         # derivative grid, built on the first eval_deriv
         object.__setattr__(self, "_dgrid", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.entries, self.cols)
 
     # -- constructors --------------------------------------------------
 
@@ -150,7 +154,7 @@ class DenseMat:
 
     @classmethod
     def zeros(cls, rows: int, cols: int):
-        return cls([[cls._zero] * cols for _ in range(rows)])
+        return cls([[cls._zero] * cols for _ in range(rows)], cols)
 
     @classmethod
     def diag(cls, values, rows=None, cols=None):
@@ -160,11 +164,11 @@ class DenseMat:
         out = [[cls._zero] * c for _ in range(r)]
         for i, v in enumerate(values):
             out[i][i] = v
-        return cls(out)
+        return cls(out, c)
 
     @classmethod
     def from_polymat(cls, A):
-        return cls(A.entries)
+        return cls(A.entries, A.cols)
 
     # -- shape helpers ---------------------------------------------------
 
@@ -179,27 +183,30 @@ class DenseMat:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.entries == other.entries
+        return self.cols == other.cols and self.entries == other.entries
 
     def __hash__(self):
         return hash(self.entries)
 
     def transpose(self):
-        return type(self)(list(zip(*self.entries))) if self.entries else self
+        grid = zip(*self.entries) if self.rows else [()] * self.cols
+        return type(self)(grid, self.rows)
 
     def submatrix(self, row_slice, col_slice):
         rows = self.entries[row_slice]
-        return type(self)([row[col_slice] for row in rows])
+        cols = len(range(self.cols)[col_slice])
+        return type(self)([row[col_slice] for row in rows], cols)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise InputError("hstack: row counts differ")
-        return type(self)([a + b for a, b in zip(self.entries, other.entries)])
+        return type(self)([a + b for a, b in zip(self.entries, other.entries)],
+                          self.cols + other.cols)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise InputError("vstack: column counts differ")
-        return type(self)(self.entries + other.entries)
+        return type(self)(self.entries + other.entries, self.cols)
 
     @staticmethod
     def block(blocks):
@@ -225,18 +232,21 @@ class DenseMat:
         if self.rows != other.rows or self.cols != other.cols:
             raise InputError("matrix addition: shape mismatch")
         return type(self)([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
+                           for r1, r2 in zip(self.entries, other.entries)],
+                          self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)([[-e for e in row] for row in self.entries])
+        return type(self)([[-e for e in row] for row in self.entries],
+                          self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise InputError("matrix product: shape mismatch")
-        return type(self)(matmul(self.entries, other.entries, self._zero))
+        return type(self)(matmul(self.entries, other.entries, self._zero,
+                                 other.cols), other.cols)
 
     # -- evaluation -------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Polynomial-matrix algorithms: Smith and Hermite forms, normal rank,
 gcrd/gcld, coprimeness certificates and Bezout equations.
 
-All computations are exact over Gaussian-rational coefficients.
+All computations are exact over Gaussian-rational coefficients. One row
+reduction to Hermite echelon form answers every query but the Smith form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .exactalg import Poly, RatFn
+from .exactalg import Poly
 
 __all__ = [
     "PolyMat",
@@ -45,9 +46,6 @@ class PolyMat(linalg_exact.DenseMat):
     __slots__ = linalg_exact.DenseMat.SLOTS
     entry = Poly
     kind = "polynomial"
-
-    def to_ratfn_grid(self):
-        return [[RatFn(e) for e in row] for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -84,34 +82,79 @@ class GcrdResult:
         return BezoutCertificate(self.X, self.Y)
 
 
+def _echelon(M: PolyMat):
+    """Row Hermite echelon form H = U @ M, U unimodular, of any shape and rank.
+
+    Row k of H has a monic pivot in column pivots[k], zeros below it and
+    entries of lower degree above it; rows past the last pivot are zero.
+    Returns (H, U, pivots, det U), det U being a nonzero constant."""
+    m = M.rows
+    h = [list(row) for row in M.entries]
+    u = [list(row) for row in PolyMat.identity(m).entries]
+    pivots, det_u = [], Poly.one().leading()
+
+    def row_sub(i, j, q):
+        h[i] = [a - q * b for a, b in zip(h[i], h[j])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+
+    for j in range(M.cols):
+        k = len(pivots)
+        rest = [i for i in range(k, m) if not h[i][j].is_zero]
+        if not rest:
+            continue
+        # Euclid down the column until row k holds its only nonzero entry
+        while rest:
+            piv = min(rest, key=lambda i: (h[i][j].degree, i))
+            if piv != k:
+                h[k], h[piv] = h[piv], h[k]
+                u[k], u[piv] = u[piv], u[k]
+                det_u = -det_u
+            for i in range(k + 1, m):
+                if not h[i][j].is_zero:
+                    row_sub(i, k, h[i][j] // h[k][j])
+            rest = [i for i in range(k + 1, m) if not h[i][j].is_zero]
+        if not h[k][j].is_monic:
+            inv = h[k][j].leading().inverse()
+            h[k] = [a.scale(inv) for a in h[k]]
+            u[k] = [a.scale(inv) for a in u[k]]
+            det_u = det_u * inv
+        for i in range(k):
+            if h[i][j].degree >= h[k][j].degree:
+                row_sub(i, k, h[i][j] // h[k][j])
+        pivots.append(j)
+    return PolyMat(h, M.cols), PolyMat(u), pivots, det_u
+
+
 def det(A: PolyMat) -> Poly:
     """Exact determinant of a square polynomial matrix."""
     if A.rows != A.cols:
         raise InputError("determinant of a non-square matrix")
-    d = linalg_exact.det(A.to_ratfn_grid())
-    return d.to_poly()
+    # det H is 0 when a pivot is missing: the last row of H is then zero
+    h, _, _, det_u = _echelon(A)
+    d = Poly.const(det_u.inverse())
+    for i in range(A.rows):
+        d = d * h[i, i]
+    return d
 
 
 def nrank(A: PolyMat) -> int:
     """Normal rank: rank over the rational-function field."""
-    return linalg_exact.rank(A.to_ratfn_grid())
+    return len(_echelon(A)[2])
 
 
 def is_unimodular(A: PolyMat) -> bool:
     """True iff A is square with constant nonzero determinant."""
     if A.rows != A.cols:
         raise InputError("unimodularity is defined for square matrices")
-    d = det(A)
-    return (not d.is_zero) and d.is_constant
+    return _echelon(A)[0] == PolyMat.identity(A.rows)
 
 
 def inverse_unimodular(A: PolyMat) -> PolyMat:
     """Exact polynomial inverse of a unimodular matrix."""
-    inv = linalg_exact.inverse(A.to_ratfn_grid())
-    try:
-        return PolyMat([[e.to_poly() for e in row] for row in inv])
-    except InputError:
-        raise SingularMatrixError("matrix is not unimodular") from None
+    h, u = hermite_form(A)
+    if h != PolyMat.identity(A.rows):
+        raise SingularMatrixError("matrix is not unimodular")
+    return u
 
 
 def _pick_pivot(s, k, rows, cols):
@@ -221,72 +264,31 @@ def hermite_form(D: PolyMat) -> tuple[PolyMat, PolyMat]:
     """Row Hermite form of a regular square matrix: H = U @ D with U
     unimodular, H upper triangular with monic diagonal and off-diagonal
     entries of degree below the diagonal entry in their column."""
-    n = D.rows
-    if D.cols != n:
+    if D.cols != D.rows:
         raise InputError("hermite_form expects a square matrix")
-    h = [list(row) for row in D.entries]
-    u = [list(row) for row in PolyMat.identity(n).entries]
-
-    def row_sub(i, j, q):
-        h[i] = [a - q * b for a, b in zip(h[i], h[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    def row_swap(i, j):
-        h[i], h[j] = h[j], h[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_scale(i, c):
-        h[i] = [a.scale(c) for a in h[i]]
-        u[i] = [a.scale(c) for a in u[i]]
-
-    for j in range(n):
-        while True:
-            nz = [i for i in range(j, n) if not h[i][j].is_zero]
-            if not nz:
-                raise SingularMatrixError("hermite_form of a singular matrix")
-            piv = min(nz, key=lambda i: (h[i][j].degree, i))
-            if piv != j:
-                row_swap(j, piv)
-            done = True
-            for i in range(j + 1, n):
-                if not h[i][j].is_zero:
-                    q, r = divmod(h[i][j], h[j][j])
-                    row_sub(i, j, q)
-                    if not r.is_zero:
-                        done = False
-            if done:
-                break
-        lead = h[j][j].leading()
-        if not h[j][j].is_monic:
-            row_scale(j, lead.inverse())
-        for i in range(j):
-            if h[i][j].degree >= h[j][j].degree:
-                q, _ = divmod(h[i][j], h[j][j])
-                row_sub(i, j, q)
-    return PolyMat(h), PolyMat(u)
+    h, u, pivots, _ = _echelon(D)
+    if len(pivots) < D.rows:
+        raise SingularMatrixError("hermite_form of a singular matrix")
+    return h, u
 
 
 def gcrd(A: PolyMat, B: PolyMat) -> GcrdResult:
-    """Greatest common right divisor of A and B via the Smith form of the
-    stacked matrix, canonicalized to upper-triangular Hermite form."""
+    """Greatest common right divisor of A and B, in Hermite form, from one
+    row reduction U @ [A; B] = [D; 0]: X and Y are the top rows of U, and
+    Q1 and Q2 the leading columns of U^-1."""
     if A.cols != B.cols:
         raise InputError("gcrd: column counts differ")
-    n = A.cols
-    w = A.vstack(B)
-    dec = smith_form(w)
-    if dec.nrank < n:
+    n, m = A.cols, A.rows
+    h, u, pivots, _ = _echelon(A.vstack(B))
+    if len(pivots) < n:
         raise RankDeficientError(
-            f"gcrd undefined: stacked matrix has normal rank {dec.nrank} < {n}")
-    d0 = dec.S.submatrix(slice(0, n), slice(None)) @ dec.F
-    q = dec.E.submatrix(slice(None), slice(0, n))
-    q1 = q.submatrix(slice(0, A.rows), slice(None))
-    q2 = q.submatrix(slice(A.rows, None), slice(None))
-    einv = inverse_unimodular(dec.E)
-    x = einv.submatrix(slice(0, n), slice(0, A.rows))
-    y = einv.submatrix(slice(0, n), slice(A.rows, None))
-    h, u = hermite_form(d0)
-    uinv = inverse_unimodular(u)
-    return GcrdResult(D=h, Q1=q1 @ uinv, Q2=q2 @ uinv, X=u @ x, Y=u @ y)
+            f"gcrd undefined: [A; B] has normal rank {len(pivots)} < {n}")
+    q, top = inverse_unimodular(u), slice(0, n)
+    return GcrdResult(D=h.submatrix(top, slice(None)),
+                      Q1=q.submatrix(slice(0, m), top),
+                      Q2=q.submatrix(slice(m, None), top),
+                      X=u.submatrix(top, slice(0, m)),
+                      Y=u.submatrix(top, slice(m, None)))
 
 
 def gcld(A: PolyMat, B: PolyMat) -> GcrdResult:
@@ -298,30 +300,28 @@ def gcld(A: PolyMat, B: PolyMat) -> GcrdResult:
     if A.rows != B.rows:
         raise InputError("gcld: row counts differ")
     res = gcrd(A.transpose(), B.transpose())
-    return GcrdResult(
-        D=res.D.transpose(),
-        Q1=res.Q1.transpose(),
-        Q2=res.Q2.transpose(),
-        X=res.X.transpose(),
-        Y=res.Y.transpose(),
-    )
+    return GcrdResult(res.D.transpose(), res.Q1.transpose(),
+                      res.Q2.transpose(), res.X.transpose(), res.Y.transpose())
 
 
 def are_right_coprime(A: PolyMat, B: PolyMat):
-    """Coprimeness test via the Smith form of the stacked matrix.
+    """Coprimeness test: A and B are right coprime iff the Hermite echelon
+    form of [A; B] is [I; 0].
 
     Returns (True, BezoutCertificate with X @ A + Y @ B = I) or (False, None).
     """
     if A.cols != B.cols:
         raise InputError("coprimeness: column counts differ")
-    n = A.cols
-    dec = smith_form(A.vstack(B))
-    if dec.nrank < n or any(not p.is_constant for p in dec.invariant_factors):
+    n, m = A.cols, A.rows
+    h, u, _, _ = _echelon(A.vstack(B))
+    eye, top = PolyMat.identity(n), slice(0, n)
+    if h.submatrix(top, slice(None)) != eye:
         return False, None
-    res = gcrd(A, B)
-    if res.D != PolyMat.identity(n):
-        raise AnalysisError("gcrd of a coprime pair is not the identity")
-    return True, BezoutCertificate(res.X, res.Y)
+    x = u.submatrix(top, slice(0, m))
+    y = u.submatrix(top, slice(m, None))
+    if x @ A + y @ B != eye:
+        raise AnalysisError("Bezout certificate of a coprime pair fails")
+    return True, BezoutCertificate(x, y)
 
 
 def are_left_coprime(A: PolyMat, B: PolyMat):
@@ -355,33 +355,29 @@ def solve_bezout(A: PolyMat, B: PolyMat, C: PolyMat):
     if not (A.cols == B.cols == C.cols):
         raise InputError("bezout: column counts differ")
     res = gcrd(A, B)
-    quotient = _right_quotient(C, res.D)
+    quotient = right_quotient(C, res.D)
     if quotient is None:
         raise NoSolutionError("gcrd of (A, B) does not right-divide C",
                               gcrd=res.D)
     return quotient @ res.X, quotient @ res.Y
 
 
-def _right_quotient(C: PolyMat, D: PolyMat):
-    """R with C = R @ D if one exists over the polynomials, else None."""
-    dinv = linalg_exact.inverse(D.to_ratfn_grid())
-    r = linalg_exact.matmul(C.to_ratfn_grid(), dinv)
-    out = []
-    for row in r:
-        new = []
-        for e in row:
-            if not e.is_polynomial:
-                return None
-            new.append(e.to_poly())
-        out.append(new)
-    return PolyMat(out)
+def right_quotient(C: PolyMat, D: PolyMat):
+    """R with C = R @ D if one exists over the polynomials, else None: with
+    D = Q1 @ G and C = Q2 @ G for G = gcrd(D, C), it exists iff Q1 is
+    unimodular, and then R = Q2 @ Q1^-1."""
+    if D.rows != D.cols:
+        raise InputError("right_quotient: divisor must be square")
+    try:
+        res = gcrd(D, C)
+    except RankDeficientError:
+        raise SingularMatrixError("quotient by a singular matrix") from None
+    # raises SingularMatrixError when Q1, and so D, is singular
+    h, q1_inv = hermite_form(res.Q1)
+    return res.Q2 @ q1_inv if h == PolyMat.identity(D.rows) else None
 
 
 def left_quotient(C: PolyMat, D: PolyMat):
     """R with C = D @ R if one exists over the polynomials, else None."""
-    r = _right_quotient(C.transpose(), D.transpose())
+    r = right_quotient(C.transpose(), D.transpose())
     return None if r is None else r.transpose()
-
-
-def right_quotient(C: PolyMat, D: PolyMat):
-    return _right_quotient(C, D)

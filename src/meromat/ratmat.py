@@ -124,6 +124,9 @@ class RootHandle:
     def __setattr__(self, name, value):
         raise AttributeError("RootHandle is immutable")
 
+    def __reduce__(self):
+        return RootHandle, (self.exact, self.approx, self.factor)
+
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
@@ -198,6 +201,9 @@ class Divisor:
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
+
+    def __reduce__(self):
+        return Divisor, (self.zeros, self.poles)
 
     @staticmethod
     def of_zeros(p: Poly) -> "Divisor":

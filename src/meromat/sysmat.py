@@ -76,6 +76,9 @@ class Amd:
     def __setattr__(self, name, value):
         raise AttributeError("Amd is immutable")
 
+    def __reduce__(self):
+        return Amd, (self.A, self.B, self.C, self.D, self.ring)
+
     @property
     def state_dim(self) -> int:
         return self.A.rows

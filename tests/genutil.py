@@ -76,16 +76,21 @@ def rand_ratmat(rng: random.Random, rows: int, cols: int) -> RatMat:
 
 
 def minor_gcd(A: PolyMat, k: int) -> Poly:
-    """Monic gcd of all k x k minors; the determinantal-divisor oracle."""
+    """Monic gcd of all k x k minors; the determinantal-divisor oracle.
+
+    The minors come from Gauss elimination over the rational functions
+    (`linalg_exact.det`), not from polymat's row reduction, so the oracle
+    stays independent of what it checks."""
     from itertools import combinations
 
+    from meromat import linalg_exact
     from meromat.exactalg import poly_gcd
 
     g = Poly.zero()
     for rows in combinations(range(A.rows), k):
         for cols in combinations(range(A.cols), k):
-            sub = PolyMat([[A.entries[i][j] for j in cols] for i in rows])
-            g = poly_gcd(g, polymat.det(sub))
+            sub = [[RatFn(A.entries[i][j]) for j in cols] for i in rows]
+            g = poly_gcd(g, linalg_exact.det(sub).to_poly())
             if g == Poly.one():
                 return g
     return g

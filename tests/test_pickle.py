@@ -1,0 +1,38 @@
+import copy
+import pickle
+
+import pytest
+
+from meromat.exactalg import QQ, GaussRat, Poly, RatFn
+from meromat.holomat import QuasiPolyEntry, QuasiPolyMat
+from meromat.polymat import PolyMat
+from meromat.ratmat import Divisor, RatMat, RootHandle
+from meromat.sysmat import Amd
+
+Z = Poly.z()
+ONE = Poly.one()
+
+OBJECTS = {
+    "GaussRat": GaussRat(QQ(1, 2), QQ(-3)),
+    "Poly": Poly([QQ(2, 3), 0, GaussRat(1, 1)]),
+    "RatFn": RatFn(Z + ONE, Z * Z - 2),
+    "QuasiPolyEntry": QuasiPolyEntry([(Z, 0), (ONE, QQ(1, 2))]),
+    "PolyMat": PolyMat([[Z, ONE], [0, Z * Z]]),
+    "PolyMat-0x3": PolyMat.zeros(0, 3),
+    "RatMat": RatMat([[RatFn(ONE, Z), 0]]),
+    "QuasiPolyMat": QuasiPolyMat([[QuasiPolyEntry([(Z, 1)])]]),
+    "RootHandle-exact": RootHandle(exact=QQ(3, 2)),
+    "RootHandle-numeric": RootHandle(approx=2 ** 0.5, factor=Z * Z - 2),
+    "Divisor": Divisor(zeros=Z * Z, poles=Z - ONE),
+    "Amd": Amd(A=PolyMat([[Z]]), B=PolyMat([[ONE]]), C=PolyMat([[ONE]]),
+               D=PolyMat([[0]])),
+}
+
+
+@pytest.mark.parametrize("obj", OBJECTS.values(), ids=OBJECTS.keys())
+def test_pickle_and_deepcopy_round_trip(obj):
+    for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert type(copied) is type(obj)
+        assert copied == obj
+        if isinstance(obj, PolyMat):
+            assert copied.shape == obj.shape

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from genutil import (
     rand_regular_polymat,
     rand_unimodular,
 )
-from meromat import polymat
+from meromat import linalg_exact, polymat
 from meromat.errors import (
     AnalysisError,
     InputError,
@@ -16,15 +17,15 @@ from meromat.errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from meromat.exactalg import QQ, Poly
+from meromat.exactalg import QQ, Poly, RatFn
 from meromat.polymat import (
-    GcrdResult,
     PolyMat,
     gcld,
     gcrd,
     hermite_form,
     smith_form,
 )
+from meromat.ratmat import RatMat
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -73,6 +74,49 @@ class TestPolyMat:
         s = PolyMat([[Z, Z], [Z, Z]])
         with pytest.raises(SingularMatrixError):
             polymat.inverse_unimodular(s)
+
+    def test_no_rational_function_kernels(self, monkeypatch):
+        """Every public polymat function works in Q[z] alone: none reaches
+        the RatFn rank, determinant or inverse kernels."""
+        def refuse(*args):
+            raise AssertionError("polymat used a rational-function kernel")
+
+        for name in ("rank", "det", "inverse"):
+            monkeypatch.setattr(linalg_exact, name, refuse)
+        a = PolyMat([[Z, ONE], [ZERO, Z]])
+        b = PolyMat([[Z + ONE, ZERO]])
+        c = PolyMat([[ONE], [Z + ONE]])
+        u = PolyMat([[ONE, Z], [ZERO, ONE]])
+        eye = PolyMat.identity(2)
+
+        def completed():
+            top, bottom = polymat.coprime_completion(a, b)
+            return polymat.is_unimodular(
+                PolyMat.block([[a, top], [b, bottom]]))
+
+        calls = {
+            "smith_form": lambda: smith_form(a).nrank == 2,
+            "hermite_form": lambda: hermite_form(a)[0] == a,
+            "det": lambda: polymat.det(a) == Z * Z,
+            "nrank": lambda: polymat.nrank(a.vstack(b)) == 2,
+            "is_unimodular": lambda: polymat.is_unimodular(u),
+            "inverse_unimodular":
+                lambda: polymat.inverse_unimodular(u) @ u == eye,
+            "gcrd": lambda: gcrd(a, b).D == eye,
+            "gcld": lambda: gcld(a, c).D == eye,
+            "are_right_coprime": lambda: polymat.are_right_coprime(a, b)[0],
+            "are_left_coprime": lambda: polymat.are_left_coprime(a, c)[0],
+            "coprime_completion": completed,
+            "solve_bezout": lambda: len(polymat.solve_bezout(a, b, eye)) == 2,
+            "right_quotient": lambda: polymat.right_quotient(a @ u, u) == a,
+            "left_quotient": lambda: polymat.left_quotient(u @ a, u) == a,
+        }
+        public = {name for name, fn in inspect.getmembers(
+            polymat, inspect.isfunction)
+            if not name.startswith("_") and fn.__module__ == polymat.__name__}
+        assert set(calls) == public
+        for name, call in calls.items():
+            assert call(), name
 
 
 class TestSmith:
@@ -129,6 +173,75 @@ class TestHermite:
         assert u2 == PolyMat.identity(2)
 
 
+def echelon_cases():
+    """Square regular and singular, wide, tall and rank-deficient inputs."""
+    rng = random.Random(14)
+    out = [rand_polymat(rng, r, c, 2)
+           for r, c in ((3, 3), (2, 2), (2, 4), (4, 2), (1, 3), (3, 1))]
+    # products through a thin middle factor have rank below both sides
+    out.append(rand_polymat(rng, 3, 2, 1) @ rand_polymat(rng, 2, 3, 1))
+    out.append(rand_polymat(rng, 4, 1, 1) @ rand_polymat(rng, 1, 3, 2))
+    out.append(PolyMat([[Z, ONE, Z], [Z * Z, Z, Z * Z]]))
+    out.append(PolyMat.zeros(2, 3))
+    return out
+
+
+class TestEchelon:
+    def test_shape_and_transform(self):
+        for a in echelon_cases():
+            h, u, pivots, det_u = polymat._echelon(a)
+            assert u @ a == h
+            assert linalg_exact.det(RatMat.from_polymat(u).entries) == det_u
+            assert pivots == sorted(set(pivots))
+            for k, j in enumerate(pivots):
+                assert h[k, j].is_monic
+                assert all(h[i, j].is_zero for i in range(k + 1, a.rows))
+                assert all(h[i, j].degree < h[k, j].degree for i in range(k))
+            assert h.submatrix(slice(len(pivots), None), slice(None)).is_zero
+
+    def test_against_ratfn_elimination(self):
+        for a in echelon_cases():
+            grid = RatMat.from_polymat(a).entries
+            assert polymat.nrank(a) == linalg_exact.rank(grid)
+            if a.rows == a.cols:
+                assert RatFn(polymat.det(a)) == linalg_exact.det(grid)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        z = sympy.Symbol("z")
+
+        def to_sympy(p):
+            return sum((sympy.Rational(str(c.re)) + sympy.I
+                        * sympy.Rational(str(c.im))) * z ** k
+                       for k, c in enumerate(p.coeffs))
+
+        for a in echelon_cases():
+            dm = DomainMatrix.from_Matrix(sympy.Matrix(
+                a.rows, a.cols, [to_sympy(e) for row in a.entries
+                                 for e in row]))
+            assert polymat.nrank(a) == dm.to_field().rank()
+            if a.rows == a.cols:
+                assert sympy.expand(dm.det().as_expr()
+                                    - to_sympy(polymat.det(a))) == 0
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_size(self, rows, cols):
+        a = PolyMat.zeros(rows, cols)
+        assert a.shape == (rows, cols)
+        assert a.transpose().shape == (cols, rows)
+        h, u, pivots, det_u = polymat._echelon(a)
+        assert h == a and u == PolyMat.identity(rows)
+        assert pivots == [] and det_u == 1
+        assert polymat.nrank(a) == 0
+        if rows == cols:
+            assert polymat.det(a) == ONE
+        else:
+            with pytest.raises(InputError):
+                polymat.det(a)
+
+
 class TestGcrd:
     def test_certificate(self):
         rng = random.Random(9)
@@ -140,6 +253,8 @@ class TestGcrd:
             assert b == res.Q2 @ res.D
             cert = res.certificate
             assert cert.X @ a + cert.Y @ b == res.D
+            # det D is the n-th determinantal divisor of [A; B]
+            assert polymat.det(res.D).monic() == minor_gcd(a.vstack(b), 2)
 
     def test_planted_divisor(self):
         rng = random.Random(10)
@@ -185,17 +300,18 @@ class TestCoprime:
         ok, cert = polymat.are_right_coprime(a, b)
         assert not ok and cert is None
 
-    def test_failed_certificate_raises(self, monkeypatch):
+    def test_corrupted_certificate_raises(self, monkeypatch):
         a = PolyMat([[Z]])
         b = PolyMat([[Z - ONE]])
-        real = polymat.gcrd
+        real = polymat._echelon
 
-        def bad_gcrd(x, y):
-            res = real(x, y)
-            return GcrdResult(D=res.D @ PolyMat([[Z]]), Q1=res.Q1, Q2=res.Q2,
-                              X=res.X, Y=res.Y)
+        def corrupt_x(m):
+            # [A; B] still reduces to [I; 0], but X, the top left of U,
+            # gains z, so X @ A + Y @ B is no longer I
+            h, u, pivots, det_u = real(m)
+            return h, u + PolyMat([[Z, ZERO], [ZERO, ZERO]]), pivots, det_u
 
-        monkeypatch.setattr(polymat, "gcrd", bad_gcrd)
+        monkeypatch.setattr(polymat, "_echelon", corrupt_x)
         with pytest.raises(AnalysisError):
             polymat.are_right_coprime(a, b)
 
@@ -234,3 +350,36 @@ class TestUnimodular:
 
     def test_non_unimodular(self):
         assert not polymat.is_unimodular(PolyMat([[Z]]))
+
+
+class TestQuotient:
+    def test_against_ratfn_division(self):
+        """A quotient exists exactly when C D^-1 (or D^-1 C) over the
+        rational functions is polynomial, and then equals it."""
+        rng = random.Random(15)
+        for trial in range(12):
+            d = rand_regular_polymat(rng, 2, 1)
+            if trial % 4 == 0:
+                d = rand_unimodular(rng, 2)
+            c = rand_polymat(rng, 3, 2, 2)
+            if trial % 2:
+                c = c @ d
+            ref = RatMat.from_polymat(c) @ RatMat.from_polymat(d).inverse()
+            expect = ref.to_polymat() if ref.is_polynomial else None
+            assert polymat.right_quotient(c, d) == expect
+            c = c.transpose()
+            ref = RatMat.from_polymat(d).inverse() @ RatMat.from_polymat(c)
+            if trial % 2:
+                c = d @ rand_polymat(rng, 2, 3, 2)
+                ref = RatMat.from_polymat(d).inverse() @ RatMat.from_polymat(c)
+            expect = ref.to_polymat() if ref.is_polynomial else None
+            assert polymat.left_quotient(c, d) == expect
+
+    def test_singular_divisor_raises(self):
+        s = PolyMat([[Z, Z], [ONE, ONE]])
+        # [S; C] of full rank (the cofactor of S is singular) and of rank 1
+        for c in (PolyMat.identity(2), PolyMat([[Z, Z]])):
+            with pytest.raises(SingularMatrixError):
+                polymat.right_quotient(c, s)
+            with pytest.raises(SingularMatrixError):
+                polymat.left_quotient(c.transpose(), s.transpose())

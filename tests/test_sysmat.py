@@ -18,6 +18,7 @@ from meromat.ratmat import Divisor
 from meromat.sysmat import (
     Amd,
     FseWitness,
+    RseWitness,
     amd_order,
     compose_rse,
     decouple,
@@ -148,6 +149,14 @@ class TestEquivalence:
         s, w = to_rmf(h)
         bad = FseWitness(M=w.M, N=w.N, X=w.X + PolyMat.identity(2), Y=w.Y)
         assert not verify_fse(h, s, bad)
+
+    def test_verify_rse_at_smallest_padding(self):
+        # p = r = ell leaves the identity padding blocks with no rows
+        h = Amd(A=PolyMat([[Z]]), B=PolyMat([[ONE]]), C=PolyMat([[ONE]]),
+                D=PolyMat([[ZERO]]))
+        assert h.system_matrix() == PolyMat([[Z, ONE], [-ONE, ZERO]])
+        eye, zero = PolyMat.identity(1), PolyMat.zeros(1, 1)
+        assert verify_rse(h, h, RseWitness(M=eye, N=eye, X=zero, Y=zero, p=1))
 
 
 class TestLeastOrder:
