@@ -94,6 +94,10 @@ class TestPolyMat:
             return polymat.is_unimodular(
                 PolyMat.block([[a, top], [b, bottom]]))
 
+        def solved():
+            x, y = polymat.solve_bezout(a, b, eye)
+            return x @ a + y @ b == eye
+
         calls = {
             "smith_form": lambda: smith_form(a).nrank == 2,
             "hermite_form": lambda: hermite_form(a)[0] == a,
@@ -107,7 +111,7 @@ class TestPolyMat:
             "are_right_coprime": lambda: polymat.are_right_coprime(a, b)[0],
             "are_left_coprime": lambda: polymat.are_left_coprime(a, c)[0],
             "coprime_completion": completed,
-            "solve_bezout": lambda: len(polymat.solve_bezout(a, b, eye)) == 2,
+            "solve_bezout": solved,
             "right_quotient": lambda: polymat.right_quotient(a @ u, u) == a,
             "left_quotient": lambda: polymat.left_quotient(u @ a, u) == a,
         }
