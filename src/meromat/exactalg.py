@@ -21,7 +21,6 @@ __all__ = [
     "RatFn",
     "poly_gcd",
     "poly_lcm",
-    "poly_divmod",
     "squarefree_decomposition",
 ]
 
@@ -106,9 +105,6 @@ class GaussRat:
 
     def __rtruediv__(self, other):
         return GaussRat.coerce(other) * self.inverse()
-
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
 
     @property
     def is_real(self) -> bool:
@@ -374,11 +370,6 @@ class Poly:
 _P_ZERO = Poly(())
 _P_ONE = Poly((1,))
 _P_Z = Poly((0, 1))
-
-
-def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division p = q*d + r with deg r < deg d, exactly."""
-    return divmod(Poly.coerce(p), Poly.coerce(d))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

@@ -37,20 +37,6 @@ class EntryExpr:
     kind: str
     value: object
 
-    def as_qp(self) -> QuasiPolyEntry:
-        if self.kind == "rational":
-            raise ParseError("rational entry where a holomorphic one is "
-                             "required", 0)
-        if self.kind == "polynomial":
-            return QuasiPolyEntry.coerce(self.value)
-        return self.value
-
-    def as_ratfn(self) -> RatFn:
-        if self.kind == "quasipoly":
-            raise ParseError("quasi-polynomial entry where a rational one "
-                             "is required", 0)
-        return RatFn.coerce(self.value)
-
 
 class _Value:
     """Intermediate semantic value: quasi-polynomial numerator over a

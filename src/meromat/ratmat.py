@@ -145,9 +145,9 @@ class RootHandle:
         return abs(self.approx - other.approx) < 1e-9
 
     def __hash__(self):
-        # numeric handles hash coarsely so near-equal values collide
-        if self.is_exact:
-            return hash(self.exact)
+        # every handle, exact or numeric, hashes coarsely on its value so
+        # that handles equal within 1e-9 collide (away from a rounding
+        # boundary of the sixth decimal)
         return hash((round(self.approx.real, 6), round(self.approx.imag, 6)))
 
     def __repr__(self):
@@ -208,11 +208,6 @@ class Divisor:
     @staticmethod
     def of_zeros(p: Poly) -> "Divisor":
         return Divisor(zeros=p)
-
-    @staticmethod
-    def of_points(points) -> "Divisor":
-        """Divisor with order 1 at each listed exact point."""
-        return Divisor(zeros=Poly.from_roots(points))
 
     @property
     def is_empty(self) -> bool:
@@ -399,6 +394,12 @@ class Mfd:
     def order_divisor(self) -> Divisor:
         return Divisor.of_zeros(polymat.det(self.D))
 
+    def transpose(self) -> "Mfd":
+        """The MFD of M^T, on the other side."""
+        return Mfd(N=self.N.transpose(), D=self.D.transpose(),
+                   side="left" if self.side == "right" else "right",
+                   coprime=self.coprime)
+
 
 def right_coprime_mfd(M: RatMat) -> Mfd:
     """Right coprime MFD from the Smith-McMillan form: N = E @ (diag φ ⊕ 0),
@@ -414,38 +415,28 @@ def right_coprime_mfd(M: RatMat) -> Mfd:
 
 
 def left_coprime_mfd(M: RatMat) -> Mfd:
-    """Left coprime MFD: N = (diag φ ⊕ 0) @ F, D = (diag ψ ⊕ I) @ E^{-1}."""
-    dec = smith_mcmillan(M)
-    r = dec.nrank
-    n_phi = PolyMat.diag(dec.zero_factors, rows=M.rows, cols=M.cols)
-    d_psi = PolyMat.diag(list(dec.pole_factors) + [_P_ONE] * (M.rows - r))
-    n = n_phi @ dec.F
-    d = d_psi @ polymat.inverse_unimodular(dec.E)
-    ok, _ = polymat.are_left_coprime(d, n)
-    return Mfd(N=n, D=d, side="left", coprime=ok)
+    """Left coprime MFD, by duality: the transpose of a right coprime MFD
+    of M^T."""
+    return right_coprime_mfd(M.transpose()).transpose()
 
 
 def mfd_unit_relator(mfd1: Mfd, mfd2: Mfd) -> PolyMat:
     """Unimodular U relating two coprime MFDs of the same matrix:
-    N1 = N2 @ U, D1 = D2 @ U (right side) or N1 = U @ N2 (left side)."""
+    N1 = N2 @ U, D1 = D2 @ U (right side) or N1 = U @ N2 (left side, by
+    transposition)."""
     if mfd1.side != mfd2.side:
         raise InputError("unit relator needs MFDs of the same side")
+    if mfd1.side == "left":
+        return mfd_unit_relator(mfd1.transpose(),
+                                mfd2.transpose()).transpose()
     if not (mfd1.coprime and mfd2.coprime):
         raise NotCoprimeError("unit relator is defined for coprime MFDs")
-    if mfd1.side == "right":
-        # D1 = D2 @ U
-        u = polymat.left_quotient(mfd1.D, mfd2.D)
-        if u is None or not polymat.is_unimodular(u):
-            raise InputError("MFDs do not describe the same matrix")
-        if mfd2.N @ u != mfd1.N:
-            raise InputError("MFDs do not describe the same matrix")
-    else:
-        # D1 = U @ D2
-        u = polymat.right_quotient(mfd1.D, mfd2.D)
-        if u is None or not polymat.is_unimodular(u):
-            raise InputError("MFDs do not describe the same matrix")
-        if u @ mfd2.N != mfd1.N:
-            raise InputError("MFDs do not describe the same matrix")
+    # D1 = D2 @ U
+    u = polymat.left_quotient(mfd1.D, mfd2.D)
+    if u is None or not polymat.is_unimodular(u):
+        raise InputError("MFDs do not describe the same matrix")
+    if mfd2.N @ u != mfd1.N:
+        raise InputError("MFDs do not describe the same matrix")
     return u
 
 

@@ -28,8 +28,7 @@ __all__ = [
     "verify_rse",
     "fse_to_rse",
     "rse_to_fse",
-    "compose_rse",
-    "invert_rse",
+    "compose_fse",
     "to_rmf",
     "to_lmf",
     "equate_irreducible",
@@ -284,53 +283,29 @@ def rse_to_fse(H1: Amd, H2: Amd, w: RseWitness) -> FseWitness:
     return FseWitness(M=m22, N=n22, X=x2, Y=y2)
 
 
-def invert_rse(w: RseWitness) -> RseWitness:
-    m_inv = polymat.inverse_unimodular(w.M)
-    n_inv = polymat.inverse_unimodular(w.N)
-    return RseWitness(M=m_inv, N=n_inv, X=-(w.X @ m_inv),
-                      Y=-(n_inv @ w.Y), p=w.p)
+def compose_fse(w12: FseWitness, w23: FseWitness) -> FseWitness:
+    """Witness for H1 ~ H3 from witnesses H1 ~ H2 and H2 ~ H3: the product
+    of the two left and of the two right factors (Fuhrmann equivalence is
+    transitive, side conditions included)."""
+    return FseWitness(M=w23.M @ w12.M, N=w23.N @ w12.N,
+                      X=w23.X @ w12.M + w12.X, Y=w23.N @ w12.Y + w23.Y)
 
 
-def _pad_rse(w: RseWitness, p: int) -> RseWitness:
-    if p == w.p:
-        return w
-    k = p - w.p
-    eye = PolyMat.identity(k)
-    return RseWitness(
-        M=PolyMat.block([[eye, PolyMat.zeros(k, w.p)],
-                         [PolyMat.zeros(w.p, k), w.M]]),
-        N=PolyMat.block([[eye, PolyMat.zeros(k, w.p)],
-                         [PolyMat.zeros(w.p, k), w.N]]),
-        X=PolyMat.zeros(w.X.rows, k).hstack(w.X),
-        Y=PolyMat.zeros(k, w.Y.cols).vstack(w.Y),
-        p=p,
-    )
+def _dual(H: Amd) -> Amd:
+    """[[A^T, C^T], [-B^T, D^T]]: the AMD of the transposed transfer
+    function. A witness H1 ~ H2 transposes to the witness
+    (N^T, M^T, -Y^T, -X^T) for dual(H2) ~ dual(H1)."""
+    return Amd(A=H.A.transpose(), B=H.C.transpose(), C=H.B.transpose(),
+               D=H.D.transpose(), ring=H.ring)
 
 
-def compose_rse(w12: RseWitness, w23: RseWitness) -> RseWitness:
-    """Witness for H1 ~ H3 from witnesses H1 ~ H2 and H2 ~ H3."""
-    p = max(w12.p, w23.p)
-    a, b = _pad_rse(w12, p), _pad_rse(w23, p)
-    return RseWitness(
-        M=b.M @ a.M,
-        N=a.N @ b.N,
-        X=b.X @ a.M + a.X,
-        Y=a.N @ b.Y + a.Y,
-        p=p,
-    )
-
-
-def to_rmf(H: Amd):
-    """Reduce an AMD with left coprime (A, B) to an RMF-system matrix
-    [[D_R, I], [-N_R, 0]], returning the fse witness."""
-    if H.ring == "quasipoly":
-        raise InputError("to_rmf needs polynomial blocks")
+def _rmf(H: Amd):
+    """RMF system S of an AMD with left coprime (A, B), with the witnesses
+    H ~ S and S ~ H."""
     a, b, c, d = H.A, H.B, H.C, H.D
     r, n = H.state_dim, H.input_dim
-    ok, _ = polymat.are_left_coprime(a, b)
-    if not ok:
-        raise NotCoprimeError("state and input blocks are not left coprime")
-    # complete [A B] to a unimodular T = [[A, B], [-N, -Y]]
+    # complete [A B] to a unimodular T = [[A, B], [-N, -Y]]; raises
+    # NotCoprimeError unless A, B are left coprime
     c1, c2 = polymat.coprime_completion(a.transpose(), b.transpose())
     n_blk, y_blk = -c1.transpose(), -c2.transpose()
     t = PolyMat.block([[a, b], [-n_blk, -y_blk]])
@@ -343,55 +318,63 @@ def to_rmf(H: Amd):
     x_blk = c @ t1 - d @ m_blk
     s = Amd(A=d_r, B=PolyMat.identity(n), C=n_r,
             D=PolyMat.zeros(H.output_dim, n), ring=H.ring)
-    return s, FseWitness(M=m_blk, N=n_blk, X=x_blk, Y=y_blk)
+    # A t2 + B D_R = 0 (from T T^-1 = I) makes [[B, 0], [D, I]] S equal to
+    # H [[-t2, 0], [0, I]]; [t2; D_R] is a column block of a unimodular
+    # matrix, so D_R, t2 are right coprime
+    back = FseWitness(M=b, N=-t2, X=d, Y=PolyMat.zeros(r, n))
+    return s, FseWitness(M=m_blk, N=n_blk, X=x_blk, Y=y_blk), back
+
+
+def to_rmf(H: Amd):
+    """Reduce an AMD with left coprime (A, B) to an RMF-system matrix
+    [[D_R, I], [-N_R, 0]], returning the fse witness."""
+    if H.ring == "quasipoly":
+        raise InputError("to_rmf needs polynomial blocks")
+    try:
+        s, w, _ = _rmf(H)
+    except NotCoprimeError:
+        raise NotCoprimeError(
+            "state and input blocks are not left coprime") from None
+    return s, w
 
 
 def to_lmf(H: Amd):
     """Reduce an AMD with right coprime (A, C) to an LMF-system matrix
-    [[D_L, N_L], [-I, 0]], returning the fse witness."""
+    [[D_L, N_L], [-I, 0]], returning the fse witness: the dual of the RMF
+    reduction of the dual AMD."""
     if H.ring == "quasipoly":
         raise InputError("to_lmf needs polynomial blocks")
-    a, b, c, d = H.A, H.B, H.C, H.D
-    r, m, n = H.state_dim, H.output_dim, H.input_dim
-    ok, _ = polymat.are_right_coprime(a, c)
-    if not ok:
-        raise NotCoprimeError("state and output blocks are not right coprime")
-    # complete [A; -C] to a unimodular T = [[A, N̂], [-C, Ŷ]]
-    n_hat, y_hat = polymat.coprime_completion(a, -c)
-    t = PolyMat.block([[a, n_hat], [-c, y_hat]])
-    t_inv = polymat.inverse_unimodular(t)
-    m_blk = t_inv.submatrix(slice(r, None), slice(0, r))
-    d_l = t_inv.submatrix(slice(r, None), slice(r, None))
-    n_l = d_l @ d + m_blk @ b
-    s = Amd(A=d_l, B=n_l, C=PolyMat.identity(m),
-            D=PolyMat.zeros(m, n), ring=H.ring)
-    w = FseWitness(M=m_blk, N=c, X=PolyMat.zeros(m, r), Y=-d)
-    return s, w
+    try:
+        s, _, back = _rmf(_dual(H))
+    except NotCoprimeError:
+        raise NotCoprimeError(
+            "state and output blocks are not right coprime") from None
+    w = FseWitness(M=back.N.transpose(), N=back.M.transpose(),
+                   X=-back.Y.transpose(), Y=-back.X.transpose())
+    return _dual(s), w
 
 
 def equate_irreducible(H1: Amd, H2: Amd):
     """Fse witness between two irreducible AMDs with the same transfer
-    function (Rosenbrock's theorem); None when the transfers differ."""
+    function (Rosenbrock's theorem); None when the transfers differ.
+    Composes H1 ~ S1 ~ S2 ~ H2 through the RMF systems S1, S2, which are
+    related by the unimodular factor of their coprime MFDs."""
     if H1.ring == "quasipoly" or H2.ring == "quasipoly":
         raise InputError("equate_irreducible needs polynomial blocks")
     if not (is_irreducible(H1) and is_irreducible(H2)):
         raise InputError("equate_irreducible needs irreducible AMDs")
     if transfer_function(H1) != transfer_function(H2):
         return None
-    s1, w1 = to_rmf(H1)
-    s2, w2 = to_rmf(H2)
+    s1, w1, _ = _rmf(H1)
+    s2, _, back2 = _rmf(H2)
     mfd1 = ratmat.Mfd(N=s1.C, D=s1.A, side="right", coprime=True)
     mfd2 = ratmat.Mfd(N=s2.C, D=s2.A, side="right", coprime=True)
-    t_r = ratmat.mfd_unit_relator(mfd1, mfd2)
-    n = H1.input_dim
-    w_s1_s2 = FseWitness(M=PolyMat.identity(n), N=t_r,
-                         X=PolyMat.zeros(H1.output_dim, n),
-                         Y=PolyMat.zeros(n, n))
-    r1 = fse_to_rse(H1, s1, w1)
-    r_mid = fse_to_rse(s1, s2, w_s1_s2)
-    r2 = invert_rse(fse_to_rse(H2, s2, w2))
-    combined = compose_rse(compose_rse(r1, r_mid), r2)
-    w = rse_to_fse(H1, H2, combined)
+    m, n = H1.output_dim, H1.input_dim
+    # N1 = N2 U and D1 = D2 U give S1 = S2 (U ⊕ I)
+    w_mid = FseWitness(M=PolyMat.identity(n),
+                       N=ratmat.mfd_unit_relator(mfd1, mfd2),
+                       X=PolyMat.zeros(m, n), Y=PolyMat.zeros(n, n))
+    w = compose_fse(compose_fse(w1, w_mid), back2)
     if not verify_fse(H1, H2, w):
         raise AnalysisError("constructed equivalence witness failed to verify")
     return w
@@ -457,9 +440,10 @@ def decouple(H: Amd) -> DecouplingReport:
 
     if not is_irreducible(reduced):
         raise AnalysisError("reduced AMD is not irreducible")
-    if transfer_function(reduced) != transfer_function(H):
+    g = transfer_function(H)
+    if transfer_function(reduced) != g:
         raise AnalysisError("decoupling changed the transfer function")
-    poles = ratmat.least_order(transfer_function(H)).points()
+    poles = ratmat.least_order(g).points()
     if amd_order(H).points() != poles | dec_set:
         raise AnalysisError("spectrum of A is not poles plus decoupling set")
     return DecouplingReport(

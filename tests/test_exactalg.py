@@ -9,7 +9,6 @@ from meromat.exactalg import (
     GaussRat,
     Poly,
     RatFn,
-    poly_divmod,
     poly_gcd,
     poly_lcm,
     squarefree_decomposition,
@@ -29,7 +28,6 @@ class TestGaussRat:
         assert a + b == GaussRat(QQ(5, 2), QQ(2))
         assert a * b == GaussRat(QQ(4), QQ(11, 2))
         assert (a * a.inverse()) == GaussRat(QQ(1))
-        assert a.conjugate().im == QQ(-3)
 
     def test_real_detection(self):
         assert GaussRat(QQ(7)).is_real
@@ -69,9 +67,9 @@ class TestPoly:
         p, d = mkpoly(a), mkpoly(b)
         if d.is_zero:
             with pytest.raises(ZeroDivisionError):
-                poly_divmod(p, d)
+                divmod(p, d)
             return
-        q, r = poly_divmod(p, d)
+        q, r = divmod(p, d)
         assert q * d + r == p
         assert r.degree < d.degree
 

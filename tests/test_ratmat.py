@@ -72,6 +72,20 @@ class TestRoots:
     def test_handle_equality(self):
         assert RootHandle(approx=1.0000000001 + 0j) == RootHandle(exact=QQ(1))
 
+    @pytest.mark.parametrize("exact, approx", [
+        (QQ(1), 1 + 0j),
+        (GaussRat(QQ(1, 3), QQ(-3)), complex(1 / 3, -3) + 1e-12),
+        (QQ(-7, 4), -1.75 + 1e-13j),
+    ])
+    def test_mixed_handles_hash_alike(self, exact, approx):
+        # equal handles, one exact and one numeric, away from a rounding
+        # boundary of the hash: one set element, and either finds the other
+        ex, num = RootHandle(exact=exact), RootHandle(approx=approx)
+        assert ex == num and hash(ex) == hash(num)
+        assert len({ex, num}) == 1
+        assert {ex: "pole"}[num] == "pole" and {num: 2}[ex] == 2
+        assert {ex} - {num} == set()
+
 
 class TestDivisor:
     def test_algebra(self):
@@ -170,6 +184,14 @@ class TestMfd:
         planted = Mfd(N=mfd.N @ v, D=mfd.D @ v, side="right", coprime=True)
         u = mfd_unit_relator(planted, mfd)
         assert u == v
+
+    def test_mfd_transpose(self):
+        m = rmat([[RatFn(ONE, Z), ONE, RatFn(Z, Z - ONE)]])
+        right = right_coprime_mfd(m)
+        left = right.transpose()
+        assert left.side == "left" and left.coprime
+        assert left.transfer() == m.transpose()
+        assert left.transpose() == right
 
     def test_unit_relator_rejects_mismatch(self):
         rng = random.Random(25)

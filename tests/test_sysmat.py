@@ -10,21 +10,21 @@ from genutil import (
     rand_unimodular,
     transformed_realization,
 )
-from meromat import polymat, sysmat
+from meromat import polymat, ratmat, sysmat
 from meromat.errors import InputError, NotCoprimeError, SingularMatrixError
-from meromat.exactalg import Poly
+from meromat.exactalg import QQ, Poly
+from meromat.holomat import TdsData, build_tds_amd
 from meromat.polymat import PolyMat
-from meromat.ratmat import Divisor
+from meromat.ratmat import Divisor, Mfd
 from meromat.sysmat import (
     Amd,
     FseWitness,
     RseWitness,
     amd_order,
-    compose_rse,
+    compose_fse,
     decouple,
     equate_irreducible,
     fse_to_rse,
-    invert_rse,
     is_irreducible,
     least_order_check,
     rse_to_fse,
@@ -102,7 +102,25 @@ class TestEquivalence:
     def test_to_rmf_needs_left_coprime(self):
         h = Amd(A=PolyMat([[Z]]), B=PolyMat([[Z]]), C=PolyMat([[ONE]]),
                 D=PolyMat([[ZERO]]))
-        with pytest.raises(NotCoprimeError):
+        with pytest.raises(NotCoprimeError,
+                           match="state and input blocks are not left coprime"):
+            to_rmf(h)
+
+    def test_to_lmf_needs_right_coprime(self):
+        # (A, B) is left coprime, so the error names the output side only
+        h = Amd(A=PolyMat([[Z]]), B=PolyMat([[ONE]]), C=PolyMat([[Z]]),
+                D=PolyMat([[ZERO]]))
+        with pytest.raises(
+                NotCoprimeError,
+                match="state and output blocks are not right coprime"):
+            to_lmf(h)
+
+    def test_reductions_need_polynomial_blocks(self):
+        h = build_tds_amd(TdsData(A0=((0,),), B_terms=((((1,),), QQ(1, 2)),),
+                                  C_terms=((((1,),), 0),)))
+        with pytest.raises(InputError, match="to_lmf needs polynomial blocks"):
+            to_lmf(h)
+        with pytest.raises(InputError, match="to_rmf needs polynomial blocks"):
             to_rmf(h)
 
     def test_fse_rse_round_trip(self):
@@ -115,15 +133,43 @@ class TestEquivalence:
             w2 = rse_to_fse(h, s, r)
             assert verify_fse(h, s, w2)
 
-    def test_compose_and_invert(self):
+    def test_compose_fse(self):
+        # H1 ~ H2 = U H1 V by (U, V^-1, 0, 0), H2 ~ H3 by a reduction
         rng = random.Random(34)
-        h = rand_irreducible_amd(rng)
-        s, w = to_rmf(h)
-        r = fse_to_rse(h, s, w)
-        rinv = invert_rse(r)
-        assert verify_rse(s, h, rinv)
-        loop = compose_rse(r, rinv)
-        assert verify_rse(h, h, loop)
+        for reduce in (to_rmf, to_lmf):
+            h1 = rand_irreducible_amd(rng)
+            u, v = rand_unimodular(rng, 2), rand_unimodular(rng, 2)
+            h2 = Amd(A=u @ h1.A @ v, B=u @ h1.B, C=h1.C @ v, D=h1.D)
+            w12 = FseWitness(M=u, N=polymat.inverse_unimodular(v),
+                             X=PolyMat.zeros(1, 2), Y=PolyMat.zeros(2, 1))
+            assert verify_fse(h1, h2, w12)
+            h3, w23 = reduce(h2)
+            assert verify_fse(h2, h3, w23)
+            assert verify_fse(h1, h3, compose_fse(w12, w23))
+
+    def test_no_rse_detour(self, monkeypatch):
+        """Equating AMDs, the LMF reduction and the left MFD compose
+        Fuhrmann witnesses and transpose right-handed results: none of them
+        passes through the Rosenbrock form or solves a Bezout equation."""
+        def refuse(*args):
+            raise AssertionError("Rosenbrock detour or Bezout solve")
+
+        for owner, name in ((sysmat, "fse_to_rse"), (sysmat, "rse_to_fse"),
+                            (polymat, "solve_bezout")):
+            monkeypatch.setattr(owner, name, refuse)
+        rng = random.Random(40)
+        h1 = rand_irreducible_amd(rng)
+        h2 = transformed_realization(rng, h1)
+        assert verify_fse(h1, h2, equate_irreducible(h1, h2))
+        h = rand_irreducible_amd(rng, m=2)
+        s, w = to_lmf(h)
+        assert verify_fse(h, s, w)
+        m = transfer_function(h)
+        left = ratmat.left_coprime_mfd(m)
+        assert left.coprime and left.transfer() == m
+        v = rand_unimodular(rng, 2)
+        planted = Mfd(N=v @ left.N, D=v @ left.D, side="left", coprime=True)
+        assert ratmat.mfd_unit_relator(planted, left) == v
 
     def test_equate_minimal_realizations(self):
         rng = random.Random(35)
