@@ -48,6 +48,18 @@ __all__ = [
 _EXP_LIMIT = 700.0  # beyond this |Re(z)|*tau, exp over/underflows badly
 
 
+def _delay_factors(tau, zs):
+    """e^{-tau z} at a vector of nodes, computed as QuasiPolyEntry computes
+    it, with the same AnalysisError where it would overflow."""
+    t = -float(tau)
+    over = t * zs.real > _EXP_LIMIT
+    if over.any():
+        z = zs[over.argmax()]
+        raise AnalysisError(
+            f"exponential overflow at Re(z) = {z.real:g}, tau = {tau}")
+    return np.array([cmath.exp(t * z) for z in zs.tolist()], dtype=complex)
+
+
 class QuasiPolyEntry:
     """Finite sum of p(z) * exp(-tau z) terms with exact polynomial p and
     exact nonnegative rational delay tau; delays strictly increasing."""
@@ -170,6 +182,11 @@ class QuasiPolyMat(DenseMat):
     __slots__ = DenseMat.SLOTS
     entry = QuasiPolyEntry
     kind = "quasipoly"
+    _delay = staticmethod(_delay_factors)
+
+    @staticmethod
+    def _split(e):
+        return e.terms, None
 
     def to_polymat(self) -> PolyMat:
         return PolyMat([[e.to_poly() for e in row] for row in self.entries])
@@ -189,31 +206,62 @@ class _QpTransferEvaluable:
         self.A, self.B, self.C, self.D = A, B, C, D
         self.shape = (C.rows, B.cols)
 
+    def eval_many(self, zs):
+        x = np.linalg.solve(self.A.eval_many(zs), self.B.eval_many(zs))
+        return self.D.eval_many(zs) + self.C.eval_many(zs) @ x
+
+    def eval_deriv_many(self, zs):
+        a = self.A.eval_many(zs)
+        ainv_b = np.linalg.solve(a, self.B.eval_many(zs))
+        c_ainv = np.linalg.solve(a.swapaxes(1, 2),
+                                 self.C.eval_many(zs).swapaxes(1, 2)
+                                 ).swapaxes(1, 2)
+        return (self.D.eval_deriv_many(zs)
+                + self.C.eval_deriv_many(zs) @ ainv_b
+                - c_ainv @ self.A.eval_deriv_many(zs) @ ainv_b
+                + c_ainv @ self.B.eval_deriv_many(zs))
+
     def eval(self, z: complex):
-        a = self.A.eval(z)
-        x = np.linalg.solve(a, self.B.eval(z))
-        return self.D.eval(z) + self.C.eval(z) @ x
+        return self.eval_many([z])[0]
 
     def eval_deriv(self, z: complex):
-        a = self.A.eval(z)
-        b = self.B.eval(z)
-        c = self.C.eval(z)
-        ainv_b = np.linalg.solve(a, b)
-        c_ainv = np.linalg.solve(a.T, c.T).T
-        return (self.D.eval_deriv(z)
-                + self.C.eval_deriv(z) @ ainv_b
-                - c_ainv @ self.A.eval_deriv(z) @ ainv_b
-                + c_ainv @ self.B.eval_deriv(z))
+        return self.eval_deriv_many([z])[0]
 
 
 def qp_transfer_closure(H) -> _QpTransferEvaluable:
     return _QpTransferEvaluable(H.A, H.B, H.C, H.D)
 
 
+class _Stacked:
+    """Node-vector evaluation of an object that evaluates one point at a
+    time through `eval`/`eval_deriv`."""
+
+    __slots__ = ("inner", "shape")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.shape = tuple(inner.shape)
+
+    def _stack(self, f, zs):
+        zs = np.asarray(zs, dtype=complex).tolist()
+        return np.array([f(z) for z in zs],
+                        dtype=complex).reshape((len(zs),) + self.shape)
+
+    def eval_many(self, zs):
+        return self._stack(self.inner.eval, zs)
+
+    def eval_deriv_many(self, zs):
+        return self._stack(self.inner.eval_deriv, zs)
+
+
 def as_evaluable(M):
-    """Check that M has the eval/eval_deriv interface."""
-    if hasattr(M, "eval_deriv") and hasattr(M, "eval"):
+    """M itself when it evaluates node vectors (`eval_many` and
+    `eval_deriv_many`, arrays of shape (k, rows, cols)); an adapter that
+    stacks single points when it has only `eval` and `eval_deriv`."""
+    if hasattr(M, "eval_many") and hasattr(M, "eval_deriv_many"):
         return M
+    if hasattr(M, "eval") and hasattr(M, "eval_deriv"):
+        return _Stacked(M)
     raise InputError(f"cannot evaluate object of type {type(M).__name__}")
 
 
@@ -260,11 +308,21 @@ def nrank_sampled(M, samples: int = 16) -> int:
         raise InputError("need at least one sample point")
     ev = as_evaluable(M)
     rng = np.random.default_rng(715225741)
+    zs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+          for _ in range(samples)]
+    try:
+        mats = ev.eval_many(zs)
+    except AnalysisError:  # skip only the points that cannot be evaluated
+        mats = []
+        for z in zs:
+            try:
+                mats.append(ev.eval_many([z])[0])
+            except AnalysisError:
+                continue
     best = 0
-    for _ in range(samples):
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    for m in mats:
         try:
-            best = max(best, _numeric_rank(ev.eval(z)))
+            best = max(best, _numeric_rank(m))
         except (AnalysisError, np.linalg.LinAlgError):
             continue
     return best
@@ -302,53 +360,55 @@ class Contour:
                        tol=tol, max_subdiv=max_subdiv)
 
     def segments(self):
-        """Parametrized pieces (z(t), z'(t)) over t in [0, 1]."""
+        """Parametrized pieces (z(t), z'(t)) over t in [0, 1], each taking
+        and returning arrays of parameters and points."""
         if self.kind == "circle":
             c, r = self.center, self.radius
 
             def zf(t, c=c, r=r):
-                return c + r * cmath.exp(2j * math.pi * t)
+                return c + r * np.exp(2j * math.pi * t)
 
             def dzf(t, c=c, r=r):
-                return 2j * math.pi * r * cmath.exp(2j * math.pi * t)
+                return 2j * math.pi * r * np.exp(2j * math.pi * t)
 
             return [(zf, dzf)]
         segs = []
         pts = self.corners
         for a, b in zip(pts, pts[1:] + pts[:1]):
             segs.append((lambda t, a=a, b=b: a + (b - a) * t,
-                         lambda t, a=a, b=b: b - a))
+                         lambda t, a=a, b=b: np.full(len(t), b - a)))
         return segs
 
     def boundary_points(self, k: int = 256):
-        out = []
         segs = self.segments()
         per = max(1, k // len(segs))
-        for zf, _ in segs:
-            for i in range(per):
-                out.append(zf(i / per))
-        return out
+        return np.concatenate([zf(np.arange(per) / per) for zf, _ in segs])
 
 
 @dataclass(frozen=True)
 class CountResult:
-    """Argument-principle count: zeros minus poles inside the contour."""
+    """Argument-principle count: zeros minus poles inside the contour.
+
+    `evals` is (value evaluations, derivative evaluations) of the matrix,
+    one per node; `subdivisions` counts quadrature panel splits.
+    """
 
     n_minus_p: int
     raw_integral: complex
     residual: float
+    evals: tuple
+    subdivisions: int
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _gl_segment(f, a: float, b: float) -> complex:
+    """16-point Gauss-Legendre rule; f maps a parameter array to values.
+    The weighted values are summed in node order."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    acc = 0j
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += w * f(mid + half * x)
-    return acc * half
+    return sum((_GL_WEIGHTS * f(mid + half * _GL_NODES)).tolist(), 0j) * half
 
 
 class _SubdivBudget:
@@ -375,43 +435,72 @@ def _adaptive(f, a: float, b: float, tol: float, budget: _SubdivBudget,
 
 
 def _check_proximity(ev, contour: Contour, samples: int = 256):
-    dets = []
-    for z in contour.boundary_points(samples):
-        try:
-            dets.append(abs(np.linalg.det(ev.eval(z))))
-        except AnalysisError:
-            dets.append(0.0)
-    top = max(dets)
-    if top == 0.0 or min(dets) <= 1e-10 * top:
+    try:
+        dets = np.linalg.det(ev.eval_many(contour.boundary_points(samples)))
+    except AnalysisError as exc:  # a pole or an overflow on the boundary
+        raise ContourError(f"contour cannot be sampled: {exc}") from exc
+    dets = np.hypot(dets.real, dets.imag)
+    top, low = dets.max(), dets.min()
+    if top == 0.0 or low <= 1e-10 * top:
         raise ContourError(
             "contour passes too close to a zero or pole "
-            f"(min/max boundary |det| = {min(dets):.3g}/{top:.3g})")
+            f"(min/max boundary |det| = {low:.3g}/{top:.3g})")
+
+
+def _cmul(a, b):
+    """a * b elementwise by CPython's complex product; numpy's own may
+    fuse multiply-adds and round differently."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _log_deriv_trace(ev):
-    def g(z: complex) -> complex:
-        m = ev.eval(z)
-        mp = ev.eval_deriv(z)
-        return complex(np.trace(np.linalg.solve(m, mp)))
+    """Tr(M^{-1} M') at a vector of nodes."""
+    def g(zs):
+        x = np.linalg.solve(ev.eval_many(zs), ev.eval_deriv_many(zs))
+        return np.trace(x, axis1=1, axis2=2)
 
     return g
+
+
+class _Counted:
+    """Counts the nodes at which a matrix and its derivative are
+    evaluated."""
+
+    __slots__ = ("ev", "shape", "values", "derivs")
+
+    def __init__(self, ev):
+        self.ev, self.shape = ev, ev.shape
+        self.values = self.derivs = 0
+
+    def eval_many(self, zs):
+        self.values += len(zs)
+        return self.ev.eval_many(zs)
+
+    def eval_deriv_many(self, zs):
+        self.derivs += len(zs)
+        return self.ev.eval_deriv_many(zs)
 
 
 def count_zeros_minus_poles(M, contour: Contour,
                             check_boundary: bool = True,
                             samples: int = 256) -> CountResult:
     """(1/2πi) ∮ Tr(M^{-1} M') dz, snapped to the nearest integer."""
-    ev = as_evaluable(M)
+    ev = _Counted(as_evaluable(M))
     if ev.shape[0] != ev.shape[1]:
         raise InputError("argument principle needs a square matrix")
     if check_boundary:
         _check_proximity(ev, contour, samples=samples)
     g = _log_deriv_trace(ev)
     budget = _SubdivBudget(2 ** min(contour.max_subdiv, 16))
-    total = 0j
+    splits = budget.left
+    # a numpy scalar: the winding integral keeps numpy's complex division
+    total = np.complex128(0)
     for zf, dzf in contour.segments():
         def f(t, zf=zf, dzf=dzf):
-            return g(zf(t)) * dzf(t)
+            return _cmul(g(zf(t)), dzf(t))
 
         total += _adaptive(f, 0.0, 1.0, contour.tol, budget)
     raw = total / (2j * math.pi)
@@ -421,7 +510,8 @@ def count_zeros_minus_poles(M, contour: Contour,
         raise ConvergenceError(
             f"winding integral {raw:.6g} is not close to an integer")
     return CountResult(n_minus_p=int(nearest), raw_integral=raw,
-                       residual=residual)
+                       residual=residual, evals=(ev.values, ev.derivs),
+                       subdivisions=splits - budget.left)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +550,7 @@ def _newton(ev, start: complex, mult: int, tol: float, max_iter: int = 80):
     z = start
     for _ in range(max_iter):
         try:
-            gz = g(z)
+            gz = complex(g([z])[0])
         except (np.linalg.LinAlgError, AnalysisError):
             return None
         if gz == 0:
@@ -581,10 +671,9 @@ def local_indices(M, point, kmax: int = 12, pole_order: int | None = None,
     # numerically balanced
     theta = 2 * math.pi * np.arange(nsamp) / nsamp
     ws = np.exp(1j * theta)
-    vals = np.empty((nsamp, rows, cols), dtype=complex)
-    for i, w in enumerate(ws):
-        z = lam + radius * w
-        vals[i] = ev.eval(z) * (w ** s)
+    # scalar powers: numpy's array power squares by another rounding
+    vals = (ev.eval_many(lam + radius * ws)
+            * np.array([w ** s for w in ws])[:, None, None])
     coeffs = np.fft.fft(vals, axis=0) / nsamp
     # rank thresholds are relative to the largest coefficient overall, so
     # Toeplitz blocks made of pure truncation noise stay rank zero
@@ -650,22 +739,26 @@ def regional_coprime(A, B, box, side: str = "right", tol: float = 1e-8):
         n = a.shape[1]
         big = a.shape[0] + b.shape[0]
 
-        def stack(z):
-            return np.vstack([a.eval(z), b.eval(z)])
+        def stack(zs):
+            return np.concatenate([a.eval_many(zs), b.eval_many(zs)], axis=1)
 
-        def stack_deriv(z):
-            return np.vstack([a.eval_deriv(z), b.eval_deriv(z)])
+        def stack_deriv(zs):
+            return np.concatenate([a.eval_deriv_many(zs),
+                                   b.eval_deriv_many(zs)], axis=1)
     elif side == "left":
         if a.shape[0] != b.shape[0]:
             raise InputError("left coprimeness: row counts differ")
         n = a.shape[0]
         big = a.shape[1] + b.shape[1]
 
-        def stack(z):
-            return np.hstack([a.eval(z), b.eval(z)]).T
+        def stack(zs):
+            return np.concatenate([a.eval_many(zs), b.eval_many(zs)],
+                                  axis=2).swapaxes(1, 2)
 
-        def stack_deriv(z):
-            return np.hstack([a.eval_deriv(z), b.eval_deriv(z)]).T
+        def stack_deriv(zs):
+            return np.concatenate([a.eval_deriv_many(zs),
+                                   b.eval_deriv_many(zs)],
+                                  axis=2).swapaxes(1, 2)
     else:
         raise InputError(f"unknown side {side!r}")
 
@@ -676,11 +769,11 @@ def regional_coprime(A, B, box, side: str = "right", tol: float = 1e-8):
         class _Squared:
             shape = (n, n)
 
-            def eval(self, z, g=g):
-                return g @ stack(z)
+            def eval_many(self, zs, g=g):
+                return g @ stack(zs)
 
-            def eval_deriv(self, z, g=g):
-                return g @ stack_deriv(z)
+            def eval_deriv_many(self, zs, g=g):
+                return g @ stack_deriv(zs)
 
         sq = _Squared()
         try:
@@ -689,7 +782,7 @@ def regional_coprime(A, B, box, side: str = "right", tol: float = 1e-8):
             continue
         bad = []
         for z, _ in candidates:
-            if _numeric_rank(stack(z)) < n:
+            if _numeric_rank(stack([z])[0]) < n:
                 bad.append(z)
         return (not bad), bad
     raise AnalysisError("could not localize rank-drop candidates")

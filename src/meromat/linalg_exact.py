@@ -1,5 +1,7 @@
 """Dense exact linear algebra: list-of-list grid kernels and the immutable
-dense-matrix base that PolyMat, RatMat and QuasiPolyMat share.
+dense-matrix base that PolyMat, RatMat and QuasiPolyMat share, which
+compiles each matrix once to numpy coefficient arrays and evaluates it on
+vectors of nodes.
 
 `rank`, `det` and `inverse` work on grids of RatFn; `matmul` works on
 grids of any entry ring, given that ring's zero and the column count of
@@ -10,9 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, SingularMatrixError
-from .exactalg import RatFn
+from .errors import AnalysisError, InputError, SingularMatrixError
+from .exactalg import Poly, RatFn
 
+_P_ZERO = Poly()
 _R_ZERO = RatFn(0)
 _R_ONE = RatFn(1)
 
@@ -104,24 +107,146 @@ def matmul(a, b, zero, cols):
     return out
 
 
+# ---------------------------------------------------------------------------
+# numeric form: coefficient arrays evaluated on node vectors
+#
+# Values are real arrays of shape (2, k, rows, cols): real parts, then
+# imaginary parts. numpy's own complex multiply and divide round differently
+# from CPython's (fused multiply-adds, another division formula), so the
+# products and quotients below apply the formulas of CPython's
+# complexobject.c to the parts. Each value then equals the entry's own
+# __call__ at that node bit for bit.
+
+
+def _coeff_array(polys, shape):
+    """Parts of the coefficients of a grid of Poly, highest degree first,
+    zero padded to the largest degree: shape (deg + 1, 2, 1, rows, cols),
+    the 1 standing for the node axis."""
+    deg = max(max((p.degree for row in polys for p in row), default=0), 0)
+    out = np.zeros((deg + 1, 2, 1) + shape)
+    for i, row in enumerate(polys):
+        for j, p in enumerate(row):
+            for d, c in enumerate(p.coeffs):
+                c = c.to_complex()
+                out[deg - d, :, 0, i, j] = c.real, c.imag
+    return out
+
+
+def _multiplier(w):
+    """(wa, wb) for a vector w, each of shape (2, k, 1, 1), such that
+    a[0] * wa + a[1] * wb is a * w by CPython's (ac - bd) + (ad + bc)i:
+    x - y is exactly x + (-y)."""
+    m = np.empty((2, 2, len(w), 1, 1))
+    m[0, 0, :, 0, 0] = m[1, 1, :, 0, 0] = w.real
+    m[0, 1, :, 0, 0] = w.imag
+    m[1, 0, :, 0, 0] = -w.imag
+    return m
+
+
+def _horner(coeffs, za, zb):
+    """acc = acc * z + c from acc = 0j. At a finite node the first step
+    gives the leading coefficient exactly, and a zero leading coefficient
+    keeps acc at exactly 0j, so the zero padding changes no bit."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc[0] * za + acc[1] * zb + c
+    return acc
+
+
+def _quotient(a, b, zs):
+    """a / b by Smith's algorithm, as CPython divides; a denominator
+    exactly 0 at a node raises AnalysisError."""
+    pole = (b[0] == 0) & (b[1] == 0)
+    if pole.any():
+        z = zs[np.argwhere(pole)[0][0]]
+        raise AnalysisError(f"a denominator vanishes at z = {z}")
+    # divide through by the part of larger magnitude: (s, t) is (br, bi)
+    # when |br| >= |bi|, else (bi, br), and (u, v) swaps alike
+    big = np.abs(b[0]) >= np.abs(b[1])
+    s, t = np.where(big, b, b[::-1])
+    u, v = np.where(big, a, a[::-1])
+    out = np.empty(a.shape)
+    with np.errstate(all="ignore"):  # CPython overflows to inf silently
+        ratio = t / s
+        out[0] = u + v * ratio
+        out[1] = np.where(big, v - u * ratio, u * ratio - v)
+        out /= s + t * ratio
+    return out
+
+
+class _Numeric:
+    """A grid of entries sum_tau p_tau(z) e^{-tau z} / den(z), compiled to
+    one coefficient array per delay tau and one for the denominator.
+
+    `split(e)` gives an entry as (((p, tau), ...), den): tau None marks the
+    one term without a factor, den None means no division. `delay(tau, zs)`
+    gives the factors e^{-tau z} at a vector of nodes.
+    """
+
+    __slots__ = ("shape", "terms", "den", "delay")
+
+    def __init__(self, grid, shape, split, delay):
+        parts = [[split(e) for e in row] for row in grid]
+        # all None (one term, no factor) or all exact delays
+        taus = sorted({tau for row in parts for terms, _ in row
+                       for _, tau in terms})
+        self.shape = shape
+        self.delay = delay
+        self.terms = tuple(
+            (tau, _coeff_array([[{t: p for p, t in terms}.get(tau, _P_ZERO)
+                                 for terms, _ in row] for row in parts], shape))
+            for tau in taus)
+        dens = [[den for _, den in row] for row in parts]
+        self.den = (_coeff_array(dens, shape)
+                    if any(d is not None for row in dens for d in row)
+                    else None)
+
+    def at(self, zs):
+        zs = np.asarray(zs, dtype=complex)
+        if zs.ndim != 1:
+            raise InputError("evaluation nodes must form a vector")
+        za, zb = _multiplier(zs)
+        val = np.zeros((2,) + zs.shape + self.shape)
+        for tau, coeffs in self.terms:
+            term = _horner(coeffs, za, zb)
+            if tau is not None:
+                ea, eb = _multiplier(self.delay(tau, zs))
+                term = term[0] * ea + term[1] * eb
+            # acc = 0j, then acc += term, as the entries sum their terms
+            val = val + term
+        if self.den is not None:
+            val = _quotient(val, _horner(self.den, za, zb), zs)
+        out = np.empty(val.shape[1:], dtype=complex)
+        out.real, out.imag = val
+        return out
+
+
 class DenseMat:
     """Immutable dense matrix over one entry ring, stored as a tuple of row
     tuples.
 
     A subclass names its entry type `entry` (with a `coerce` constructor,
     `is_zero`, `derivative` and complex evaluation) and its ring tag
-    `kind`, the tag of the `meromat/1` file format, and declares the slots
-    `SLOTS` on itself, so that code reading `type(M).__slots__` sees the
-    fields of a matrix. Matrices of different subclasses never compare
-    equal, even with equal entries. A matrix with no rows keeps the column
-    count `cols` that its constructor is given.
+    `kind`, the tag of the `meromat/1` file format, says how an entry
+    splits for numeric evaluation (`_split`, and `_delay` when entries
+    carry delays; see `_Numeric`), and declares the slots `SLOTS` on
+    itself, so that code reading `type(M).__slots__` sees the fields of a
+    matrix. Matrices of different subclasses never compare equal, even with
+    equal entries. A matrix with no rows keeps the column count `cols` that
+    its constructor is given.
+
+    The first evaluation compiles the matrix, and the first derivative
+    evaluation its exact derivative, to coefficient arrays kept in slots;
+    both then evaluate whole vectors of nodes.
     """
 
     __slots__ = ()
-    SLOTS = ("rows", "cols", "entries", "_dgrid")
+    SLOTS = ("rows", "cols", "entries", "_num", "_dnum")
 
     entry = None
     kind = None
+    _split = None
+    _delay = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -136,8 +261,9 @@ class DenseMat:
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", len(grid[0]) if grid else cols)
-        # derivative grid, built on the first eval_deriv
-        object.__setattr__(self, "_dgrid", None)
+        # numeric forms of the matrix and of its derivative, built on first use
+        object.__setattr__(self, "_num", None)
+        object.__setattr__(self, "_dnum", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -250,18 +376,28 @@ class DenseMat:
 
     # -- evaluation -------------------------------------------------------
 
+    def _numeric(self, slot, grid):
+        form = getattr(self, slot)
+        if form is None:
+            form = _Numeric(grid(), self.shape, self._split, self._delay)
+            object.__setattr__(self, slot, form)
+        return form
+
+    def eval_many(self, zs):
+        """Values at a vector of k nodes, shape (k, rows, cols); each equals
+        the entry's own evaluation at that node bit for bit."""
+        return self._numeric("_num", lambda: self.entries).at(zs)
+
+    def eval_deriv_many(self, zs):
+        """Values of the exact entrywise derivative at a vector of nodes."""
+        return self._numeric("_dnum", lambda: [
+            [e.derivative() for e in row] for row in self.entries]).at(zs)
+
     def eval(self, z: complex):
-        return np.array([[e(z) for e in row] for row in self.entries],
-                        dtype=complex)
+        return self.eval_many([z])[0]
 
     def eval_deriv(self, z: complex):
-        dgrid = self._dgrid
-        if dgrid is None:
-            dgrid = tuple(tuple(e.derivative() for e in row)
-                          for row in self.entries)
-            object.__setattr__(self, "_dgrid", dgrid)
-        return np.array([[e(z) for e in row] for row in dgrid],
-                        dtype=complex)
+        return self.eval_deriv_many([z])[0]
 
     def __repr__(self):
         return f"{type(self).__name__}({self.rows}x{self.cols})"

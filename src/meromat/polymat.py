@@ -47,6 +47,10 @@ class PolyMat(linalg_exact.DenseMat):
     entry = Poly
     kind = "polynomial"
 
+    @staticmethod
+    def _split(e):
+        return ((e, None),), None
+
 
 @dataclass(frozen=True)
 class SmithDecomposition:

@@ -52,6 +52,10 @@ class RatMat(linalg_exact.DenseMat):
     entry = RatFn
     kind = "rational"
 
+    @staticmethod
+    def _split(e):
+        return ((e.num, None),), e.den
+
     @property
     def is_polynomial(self) -> bool:
         return all(e.is_polynomial for row in self.entries for e in row)

@@ -12,7 +12,7 @@ from meromat.errors import (
     InputError,
     SingularMatrixError,
 )
-from meromat.exactalg import QQ, Poly, RatFn
+from meromat.exactalg import QQ, GaussRat, Poly, RatFn
 from meromat.holomat import (
     Contour,
     QuasiPolyEntry,
@@ -122,7 +122,153 @@ class TestDenseMat:
             assert (m.eval_deriv(z) == want).all()
 
 
+def rand_gpoly(rng, max_deg):
+    """Polynomial with Gaussian-rational coefficients; zero about one time
+    in six."""
+    if rng.random() < 1 / 6:
+        return Poly.zero()
+    return Poly([GaussRat(QQ(rng.randint(-9, 9), rng.randint(1, 7)),
+                          QQ(rng.randint(-3, 3), rng.randint(1, 5))
+                          if rng.random() < 0.3 else 0)
+                 for _ in range(rng.randint(0, max_deg) + 1)])
+
+
+def rand_entry(rng, cls):
+    if cls is PolyMat:
+        return rand_gpoly(rng, 4)
+    if cls is RatMat:
+        while True:
+            den = rand_gpoly(rng, rng.choice((0, 3)))  # constant or not
+            if not den.is_zero:
+                return RatFn(rand_gpoly(rng, 3), den)
+    return qp([(rand_gpoly(rng, 3), QQ(rng.randint(0, 6), rng.randint(1, 3)))
+               for _ in range(rng.randint(0, 3))])
+
+
+def bits(a):
+    return np.asarray(a, dtype=complex).view(np.uint64)
+
+
+class TestBatchedEval:
+    """eval_many and eval_deriv_many against entry-by-entry evaluation."""
+
+    @pytest.mark.parametrize("cls", MATRIX_TYPES)
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1), (0, 2),
+                                       (2, 0)])
+    def test_bit_identical_to_entries(self, cls, shape):
+        rows, cols = shape
+        rng = random.Random(f"{cls.kind}/{rows}x{cols}")
+        for _ in range(6):
+            m = cls([[rand_entry(rng, cls) for _ in range(cols)]
+                     for _ in range(rows)], cols)
+            zs = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                  for _ in range(rng.randint(1, 9))]
+            vals, ders = m.eval_many(zs), m.eval_deriv_many(zs)
+            assert vals.shape == ders.shape == (len(zs), rows, cols)
+            for k, z in enumerate(zs):
+                want = np.array([[e(z) for e in row] for row in m.entries],
+                                dtype=complex).reshape(rows, cols)
+                dwant = np.array([[e.derivative()(z) for e in row]
+                                  for row in m.entries],
+                                 dtype=complex).reshape(rows, cols)
+                assert (bits(vals[k]) == bits(want)).all()
+                assert (bits(ders[k]) == bits(dwant)).all()
+                assert (bits(m.eval(z)) == bits(want)).all()
+                assert (bits(m.eval_deriv(z)) == bits(dwant)).all()
+
+    def test_several_delays_and_zero_entries(self):
+        m = QuasiPolyMat([[qp([(Z, QQ(0)), (ONE, QQ(1)), (Z * Z, QQ(5, 2))]),
+                           qp([])],
+                          [qp([(Poly.const(QQ(-1, 3)), QQ(7, 4))]),
+                           qp([(Z - ONE, QQ(1))])]])
+        zs = [0.3 + 0.1j, -1.2 + 0.7j, 2.0 - 0.5j, -0.5 - 3j]
+        for k, z in enumerate(zs):
+            want = [[e(z) for e in row] for row in m.entries]
+            dwant = [[e.derivative()(z) for e in row] for row in m.entries]
+            assert (bits(m.eval_many(zs)[k]) == bits(want)).all()
+            assert (bits(m.eval_deriv_many(zs)[k]) == bits(dwant)).all()
+
+    def test_overflow_raises_alike(self):
+        e = qp([(ONE, QQ(2))])
+        m = QuasiPolyMat([[qp([(Z, QQ(0))]), e]])
+        z = complex(-400, 0)
+        with pytest.raises(AnalysisError) as single:
+            m.eval(z)
+        with pytest.raises(AnalysisError) as batch:
+            m.eval_many([0.5 + 0j, z])
+        with pytest.raises(AnalysisError) as entry:
+            e(z)
+        assert str(single.value) == str(batch.value) == str(entry.value)
+
+    def test_exact_pole_raises(self):
+        m = RatMat([[RatFn(ONE, Z - ONE)]])
+        with pytest.raises(AnalysisError):
+            m.eval_many([0j, 1 + 0j])
+        with pytest.raises(AnalysisError):
+            m.eval(1)
+
+    def test_transfer_closure_batches(self):
+        data = TdsData(A0=((0, 1), (-1, 0)),
+                       A_delayed=((((0, 0), (QQ(1, 2), 0)), 1),),
+                       B_terms=((((1,), (0,)), QQ(1, 3)),),
+                       C_terms=((((1, 2),), 0),))
+        ev = holomat.qp_transfer_closure(build_tds_amd(data))
+        zs = [0.3 + 0.1j, -1.2 + 0.7j, 2.0 - 0.5j]
+        vals, ders = ev.eval_many(zs), ev.eval_deriv_many(zs)
+        assert vals.shape == ders.shape == (3, 1, 1)
+        h = 1e-6
+        for k, z in enumerate(zs):
+            assert np.allclose(vals[k], ev.eval(z))
+            slope = (ev.eval(z + h) - ev.eval(z - h)) / (2 * h)
+            assert np.allclose(ders[k], slope, atol=1e-7)
+
+
+README_TDS = TdsData(A0=((0, 1), (-1, 0)),
+                     A_delayed=((((0, 0), (QQ(1, 2), 0)), 1),),
+                     B_terms=((((1,), (0,)), 0),),
+                     C_terms=((((1, 0),), 0),))
+
+
+class TestNoEntryCalls:
+    """The numerics evaluate compiled matrices, never entry by entry."""
+
+    @pytest.fixture
+    def no_entry_calls(self, monkeypatch):
+        def refuse(self, z):
+            raise AssertionError("entry-by-entry evaluation")
+
+        for cls in (Poly, RatFn, QuasiPolyEntry):
+            monkeypatch.setattr(cls, "__call__", refuse)
+
+    @pytest.mark.parametrize("cls", MATRIX_TYPES)
+    def test_numerics(self, cls, no_entry_calls):
+        m = cls([[Z * (Z - ONE), ONE], [ONE * 0, Z + ONE]])
+        assert count_zeros_minus_poles(
+            m, Contour.circle(0j, 2.0)).n_minus_p == 3
+        roots = roots_in_region(m, (-1.5, 1.5, -0.5, 0.5))
+        assert [(round(z.real, 6), k) for z, k in roots] == \
+            [(-1.0, 1), (0.0, 1), (1.0, 1)]
+        assert local_indices(m, 0).values == (0, 1)
+
+    def test_tds_pole_count(self, no_entry_calls):
+        assert tds_pole_count(README_TDS,
+                              Contour.circle(0j, 3.0)).n_minus_p == 3
+
+
 class TestCounting:
+    def test_evaluation_counts(self):
+        # 256 boundary samples, then 79 Gauss-Legendre panels of 16 nodes
+        res = tds_pole_count(README_TDS, Contour.circle(0j, 3.0))
+        assert res.n_minus_p == 3
+        assert res.evals == (256 + 1264, 1264)
+        assert res.subdivisions == 19
+
+    def test_contour_through_pole(self):
+        m = RatMat([[RatFn(ONE, Z)]])
+        with pytest.raises(ContourError):
+            count_zeros_minus_poles(m, Contour.rectangle(0, 1, 0, 1))
+
+
     def test_polynomial_zero_count(self):
         m = RatMat([[RatFn.coerce(Z ** 3)]])
         res = count_zeros_minus_poles(m, Contour.circle(0j, 1.0))
