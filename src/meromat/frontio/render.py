@@ -28,8 +28,7 @@ def poly_to_str(p: Poly) -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    for d in range(p.degree, -1, -1):
-        c = p.coeffs[d]
+    for d, c in reversed(list(enumerate(p.coeffs))):
         if not c:
             continue
         if not c.is_real:

@@ -7,7 +7,7 @@ stay reproducible.
 import random
 
 from meromat import polymat, sysmat
-from meromat.exactalg import QQ, Poly, RatFn
+from meromat.exactalg import QQ, GaussRat, Poly, RatFn
 from meromat.polymat import PolyMat
 from meromat.ratmat import RatMat
 from meromat.sysmat import Amd
@@ -155,3 +155,89 @@ def transformed_realization(rng: random.Random, h: Amd) -> Amd:
     u = rand_unimodular(rng, r)
     v = rand_unimodular(rng, r)
     return Amd(A=u @ h.A @ v, B=u @ h.B, C=h.C @ v, D=h.D)
+
+
+def rand_qpoly(rng: random.Random, max_deg: int, gaussian: bool = False,
+               nonzero: bool = False, bits: int = 4) -> Poly:
+    """Polynomial with rational coefficients (numerators and denominators of
+    about `bits` bits), Gaussian ones when `gaussian`; zero about one time in
+    eight unless `nonzero`."""
+    def q():
+        return QQ(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+
+    while True:
+        if not nonzero and rng.random() < 1 / 8:
+            return Poly.zero()
+        p = Poly([GaussRat(q(), q() if gaussian and rng.random() < 0.7 else 0)
+                  for _ in range(rng.randint(0, max_deg) + 1)])
+        if not p.is_zero:
+            return p
+
+
+# -- reference arithmetic on lists of GaussRat, lowest degree first: the
+# coefficient-by-coefficient algorithms, an oracle for Poly's integer kernel
+
+
+def ref_trim(cs) -> list:
+    cs = [GaussRat.coerce(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b, sign=1) -> list:
+    n = max(len(a), len(b))
+    a = list(a) + [GaussRat(0)] * (n - len(a))
+    b = list(b) + [GaussRat(0)] * (n - len(b))
+    return ref_trim(x + y * sign for x, y in zip(a, b))
+
+
+def ref_mul(a, b) -> list:
+    out = [GaussRat(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b) -> tuple:
+    rem = list(a)
+    inv = b[-1].inverse()
+    quo = [GaussRat(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] = rem[k + j] - c * y
+    return ref_trim(quo), ref_trim(rem[:len(b) - 1])
+
+
+def ref_monic(a) -> list:
+    return ref_mul(a, [a[-1].inverse()]) if a else []
+
+
+def ref_gcd(a, b) -> list:
+    """Monic gcd by Euclid over the Gaussian rationals."""
+    a, b = ref_trim(a), ref_trim(b)
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_derivative(a) -> list:
+    return ref_trim([c * k for k, c in enumerate(a)][1:])
+
+
+def ref_eval_exact(a, x):
+    acc = GaussRat(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_call(a, z: complex) -> complex:
+    """Horner on the complex values of the coefficients."""
+    acc = 0j
+    for c in reversed(a):
+        acc = acc * z + c.to_complex()
+    return acc
