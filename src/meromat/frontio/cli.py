@@ -370,7 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-8,
                         help="numeric tolerance (default 1e-8)")
     common.add_argument("--max-subdiv", type=int, default=40,
-                        help="contour subdivision budget exponent")
+                        help="quadrature depth N: panels are never split "
+                             "below 2^-N of a segment; at most 2^min(N,16) "
+                             "splits (default 40)")
     common.add_argument("--samples", type=int, default=256,
                         help="boundary sample count for proximity checks")
     contour = argparse.ArgumentParser(add_help=False)

@@ -9,6 +9,7 @@ floating point is deliberate and tolerance-guarded.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,7 +290,11 @@ def _numeric_rank(mat, scale: float | None = None) -> int:
     all-noise matrices are not self-normalized into full rank."""
     if mat.size == 0:
         return 0
-    svals = np.linalg.svd(mat, compute_uv=False)
+    return _rank_of(np.linalg.svd(mat, compute_uv=False), scale)
+
+
+def _rank_of(svals, scale: float | None = None) -> int:
+    """Numeric rank from descending singular values (see _numeric_rank)."""
     top = svals[0] if len(svals) else 0.0
     ref = top if scale is None else max(scale, 0.0)
     if ref == 0.0:
@@ -303,7 +308,9 @@ def _numeric_rank(mat, scale: float | None = None) -> int:
 
 
 def nrank_sampled(M, samples: int = 16) -> int:
-    """Max numeric rank over deterministic pseudo-random sample points."""
+    """Max numeric rank over deterministic pseudo-random sample points,
+    skipping points that cannot be evaluated or ranked; AmbiguousRankError
+    when none is left."""
     if samples < 1:
         raise InputError("need at least one sample point")
     ev = as_evaluable(M)
@@ -319,13 +326,21 @@ def nrank_sampled(M, samples: int = 16) -> int:
                 mats.append(ev.eval_many([z])[0])
             except AnalysisError:
                 continue
-    best = 0
-    for m in mats:
-        try:
-            best = max(best, _numeric_rank(m))
-        except (AnalysisError, np.linalg.LinAlgError):
-            continue
-    return best
+    try:
+        svals = np.linalg.svd(mats, compute_uv=False)
+    except np.linalg.LinAlgError:  # one bad point fails the whole stack
+        svals = []
+        for m in mats:
+            with contextlib.suppress(np.linalg.LinAlgError):
+                svals.append(np.linalg.svd(m, compute_uv=False))
+    ranks = []
+    for row in svals:
+        with contextlib.suppress(AmbiguousRankError):
+            ranks.append(_rank_of(row))
+    if not ranks:
+        raise AmbiguousRankError(
+            f"no rank at any of {samples} sample points")
+    return max(ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +349,11 @@ def nrank_sampled(M, samples: int = 16) -> int:
 
 @dataclass(frozen=True)
 class Contour:
-    """Circle or rectangle contour with quadrature settings."""
+    """Circle or rectangle contour with quadrature settings.
+
+    `max_subdiv` = N bounds the adaptive quadrature: panels are never
+    split below 2^-N of a segment; at most 2^min(N,16) splits. A count
+    that would need more raises ConvergenceError."""
 
     kind: str
     center: complex = 0j
@@ -412,10 +431,13 @@ def _gl_segment(f, a: float, b: float) -> complex:
 
 
 class _SubdivBudget:
-    __slots__ = ("left",)
+    """Splits left, and the narrowest panel that may be split."""
 
-    def __init__(self, n):
-        self.left = n
+    __slots__ = ("left", "floor")
+
+    def __init__(self, max_subdiv):
+        self.left = 2 ** min(max_subdiv, 16)
+        self.floor = 2.0 ** -max_subdiv
 
 
 def _adaptive(f, a: float, b: float, tol: float, budget: _SubdivBudget,
@@ -427,6 +449,10 @@ def _adaptive(f, a: float, b: float, tol: float, budget: _SubdivBudget,
     hi = _gl_segment(f, mid, b)
     if abs(whole - (lo + hi)) <= tol:
         return lo + hi
+    # tol is halved per level: this deep it is below rounding, never met
+    if b - a < budget.floor:
+        raise ConvergenceError(
+            f"quadrature panel of width {b - a:.3g} has not converged")
     if budget.left <= 0:
         raise ConvergenceError("quadrature subdivision budget exhausted")
     budget.left -= 1
@@ -494,7 +520,7 @@ def count_zeros_minus_poles(M, contour: Contour,
     if check_boundary:
         _check_proximity(ev, contour, samples=samples)
     g = _log_deriv_trace(ev)
-    budget = _SubdivBudget(2 ** min(contour.max_subdiv, 16))
+    budget = _SubdivBudget(contour.max_subdiv)
     splits = budget.left
     # a numpy scalar: the winding integral keeps numpy's complex division
     total = np.complex128(0)

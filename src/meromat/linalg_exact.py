@@ -126,9 +126,10 @@ def _coeff_array(polys, shape):
     out = np.zeros((deg + 1, 2, 1) + shape)
     for i, row in enumerate(polys):
         for j, p in enumerate(row):
-            for d, c in enumerate(p.coeffs):
-                c = c.to_complex()
-                out[deg - d, :, 0, i, j] = c.real, c.imag
+            # int / int rounds once, as float(Fraction) does
+            for part, nums in enumerate((p.re, p.im)):
+                for d, x in enumerate(nums):
+                    out[deg - d, part, 0, i, j] = x / p.den
     return out
 
 

@@ -66,11 +66,17 @@ class Amd:
 
             if not holomat.qp_is_regular(A):
                 raise SingularMatrixError("state block appears singular")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "ring", ring)
+        for name, value in zip(Amd.__slots__, (A, B, C, D, ring)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _regular(A, B, C, D, ring) -> "Amd":
+        """An AMD built in this module whose state block is regular by
+        construction: stored as given, without the determinant check."""
+        h = object.__new__(Amd)
+        for name, value in zip(Amd.__slots__, (A, B, C, D, ring)):
+            object.__setattr__(h, name, value)
+        return h
 
     def __setattr__(self, name, value):
         raise AttributeError("Amd is immutable")
@@ -295,8 +301,8 @@ def _dual(H: Amd) -> Amd:
     """[[A^T, C^T], [-B^T, D^T]]: the AMD of the transposed transfer
     function. A witness H1 ~ H2 transposes to the witness
     (N^T, M^T, -Y^T, -X^T) for dual(H2) ~ dual(H1)."""
-    return Amd(A=H.A.transpose(), B=H.C.transpose(), C=H.B.transpose(),
-               D=H.D.transpose(), ring=H.ring)
+    return Amd._regular(A=H.A.transpose(), B=H.C.transpose(),
+                        C=H.B.transpose(), D=H.D.transpose(), ring=H.ring)
 
 
 def _rmf(H: Amd):
@@ -316,8 +322,9 @@ def _rmf(H: Amd):
     d_r = t_inv.submatrix(slice(r, None), slice(r, None))
     n_r = d @ d_r - c @ t2
     x_blk = c @ t1 - d @ m_blk
-    s = Amd(A=d_r, B=PolyMat.identity(n), C=n_r,
-            D=PolyMat.zeros(H.output_dim, n), ring=H.ring)
+    # det D_R is a nonzero constant times det A
+    s = Amd._regular(A=d_r, B=PolyMat.identity(n), C=n_r,
+                     D=PolyMat.zeros(H.output_dim, n), ring=H.ring)
     # A t2 + B D_R = 0 (from T T^-1 = I) makes [[B, 0], [D, I]] S equal to
     # H [[-t2, 0], [0, I]]; [t2; D_R] is a column block of a unimodular
     # matrix, so D_R, t2 are right coprime

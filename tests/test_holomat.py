@@ -7,8 +7,10 @@ import pytest
 from genutil import rand_ratmat
 from meromat import holomat, ratmat
 from meromat.errors import (
+    AmbiguousRankError,
     AnalysisError,
     ContourError,
+    ConvergenceError,
     InputError,
     SingularMatrixError,
 )
@@ -320,6 +322,40 @@ class TestCounting:
             checked += 1
 
 
+class TestBoundedFailure:
+    """A count along a contour through, or within rounding of, a root
+    stops at the quadrature depth floor instead of spending the whole
+    2^16-split budget (about 4 million evaluations)."""
+
+    def test_line_through_root(self):
+        # the edge Im z = 0 of the box passes through the root -2.989...
+        ev = holomat._Counted(tds_state_block(README_TDS))
+        with pytest.raises(ConvergenceError):
+            count_zeros_minus_poles(ev, Contour.rectangle(-3, 0, -3, 0))
+        assert ev.values < 10_000
+
+    def test_circle_around_double_root(self):
+        r = Z + Poly.const(QQ(3, 2))
+        ev = holomat._Counted(PolyMat([[r * r]]))
+        with pytest.raises(ConvergenceError):
+            count_zeros_minus_poles(
+                ev, Contour.circle(-1.5, 1e-6, tol=1e-8))
+        assert ev.values < 10_000
+
+    def test_readme_tds_roots(self):
+        mpmath = pytest.importorskip("mpmath")
+        roots = roots_in_region(tds_state_block(README_TDS),
+                                (-3, 3, -3, 3))
+        assert [k for _, k in roots] == [1, 1, 1]
+
+        def det(z):  # of [[z, -1], [1 - e^{-z}/2, z]]
+            return z * z + 1 - mpmath.exp(-z) / 2
+
+        for z, _ in roots:
+            ref = complex(mpmath.findroot(det, mpmath.mpc(z)))
+            assert abs(z - ref) < 1e-10
+
+
 class TestRoots:
     def test_polynomial_roots(self):
         m = RatMat([[RatFn.coerce((Z - ONE) * Z * Z)]])
@@ -371,11 +407,64 @@ class TestLocalIndices:
             local_indices(m, 0, kmax=2)
 
 
+class FixedSamples:
+    """Returns the given matrices, one per node, whatever the nodes."""
+
+    def __init__(self, mats):
+        self.mats = np.asarray(mats, dtype=complex)
+        self.shape = self.mats.shape[1:]
+
+    def eval_many(self, zs):
+        return self.mats[:len(zs)]
+
+    def eval_deriv_many(self, zs):
+        raise AssertionError("rank sampling needs no derivative")
+
+
+def loop_nrank(mats):
+    """nrank_sampled's rule one matrix at a time: the largest rank of a
+    sample whose rank is not ambiguous."""
+    ranks = []
+    for m in mats:
+        try:
+            ranks.append(holomat._numeric_rank(m))
+        except (AmbiguousRankError, np.linalg.LinAlgError):
+            continue
+    return max(ranks)
+
+
 class TestRank:
     def test_nrank_sampled(self):
         m = RatMat([[RatFn.coerce(Z), RatFn.coerce(Z)],
                     [RatFn.coerce(Z), RatFn.coerce(Z)]])
         assert nrank_sampled(as_evaluable(m)) == 1
+
+    def test_batched_equals_loop(self):
+        rng = np.random.default_rng(5)
+        for rows, cols in [(1, 1), (2, 2), (2, 3), (4, 2), (4, 4)]:
+            mats = (rng.standard_normal((16, rows, cols))
+                    + 1j * rng.standard_normal((16, rows, cols)))
+            k = min(rows, cols)
+            mats[3] = 0
+            # full rank but badly scaled: singular value ratio 5e-8 falls
+            # in the ambiguity band
+            mats[5] = 0
+            mats[5][range(k), range(k)] = 4.5e-4
+            mats[5][0, 0] = 8.9e3
+            mats[7] = np.outer(mats[7][:, 0], mats[7][0])  # rank 1
+            stacked = np.linalg.svd(mats, compute_uv=False)
+            for m, row in zip(mats, stacked):
+                assert (bits(np.linalg.svd(m, compute_uv=False)).tolist()
+                        == bits(row).tolist())
+            assert nrank_sampled(FixedSamples(mats)) == loop_nrank(mats)
+            # a sample the SVD cannot take fails the stacked call
+            mats[9, 0, 0] = np.nan
+            assert nrank_sampled(FixedSamples(mats)) == loop_nrank(mats)
+
+    def test_no_evidence_raises(self):
+        bad = np.diag([8.9e3, 4.5e-4]).astype(complex)
+        with pytest.raises(AmbiguousRankError):
+            nrank_sampled(FixedSamples([bad] * 16))
 
 
 class TestRegionalCoprime:

@@ -56,6 +56,12 @@ class TestAmd:
             Amd(A=PolyMat.zeros(1, 1), B=PolyMat.zeros(1, 1),
                 C=PolyMat.zeros(1, 1), D=PolyMat.zeros(1, 1))
 
+    def test_nonzero_singular_state_rejected(self):
+        a = PolyMat([[Z, ONE], [Z * Z, Z]])  # det z^2 - z^2 = 0
+        with pytest.raises(SingularMatrixError):
+            Amd(A=a, B=PolyMat.zeros(2, 1), C=PolyMat.zeros(1, 2),
+                D=PolyMat.zeros(1, 1))
+
     def test_layouts_agree(self):
         h = simple_amd()
         sm = h.system_matrix()
