@@ -9,6 +9,7 @@ significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -196,10 +197,7 @@ def _contour(args) -> holomat.Contour:
         return holomat.Contour.circle(complex(cx, cy), r, tol=args.tol,
                                       max_subdiv=args.max_subdiv)
     if args.region is not None:
-        x0, x1, y0, y1 = _csv_floats(args.region, 4, "--region")
-        if x0 >= x1 or y0 >= y1:
-            raise InputError("--region must satisfy X0 < X1 and Y0 < Y1")
-        return holomat.Contour.rectangle(x0, x1, y0, y1, tol=args.tol,
+        return holomat.Contour.rectangle(*_box(args), tol=args.tol,
                                          max_subdiv=args.max_subdiv)
     raise InputError("a contour is required: --circle CX,CY,R or "
                      "--region X0,X1,Y0,Y1")
@@ -363,6 +361,7 @@ def _cmd_tds_poles(args) -> None:
 # argument parsing
 
 
+@functools.cache  # built on first use; parse_args keeps no state on it
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",

@@ -177,15 +177,16 @@ def dumps(obj) -> str:
 class _Lines:
     def __init__(self, text: str):
         self.lines = text.splitlines()
-        self.idx = 0
+        self.idx = self.at = 0
 
     @property
-    def where(self) -> str:
-        return f"line {self.idx + 1}"
+    def where(self) -> str:  # the line last returned by peek or pop
+        return f"line {self.at + 1}"
 
     def peek(self):
         while self.idx < len(self.lines) and not self.lines[self.idx].strip():
             self.idx += 1
+        self.at = self.idx
         if self.idx >= len(self.lines):
             return None
         return self.lines[self.idx].strip()
@@ -236,7 +237,11 @@ def _load_matrix(lines: _Lines) -> MatrixFile:
         parts = nxt[7:].split()
         if len(parts) != 4:
             raise InputError(f"{lines.where}: region needs four numbers")
-        region = tuple(QQ(p) for p in parts)
+        try:
+            region = tuple(QQ(p) for p in parts)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{lines.where}: bad region value in "
+                             f"{nxt[7:]!r}") from None
     grid = _read_rows(lines, rows, cols, kind, "matrix")
     if lines.peek() is not None:
         raise InputError(f"{lines.where}: trailing content")

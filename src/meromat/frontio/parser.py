@@ -12,6 +12,9 @@ Grammar:
 Whitespace is insignificant. Exponential coefficients must be nonpositive
 (delays are nonnegative). Division is only defined between delay-free
 subexpressions and yields a rational entry.
+
+Delay-free expressions are evaluated in `Poly` and `RatFn`; a numerator
+becomes a `QuasiPolyEntry` only once an `exp` term enters it.
 """
 
 from __future__ import annotations
@@ -38,23 +41,31 @@ class EntryExpr:
     value: object
 
 
+_ONE = Poly.one()
+
+
+def _mul(a, b):
+    """a * b for Poly or QuasiPolyEntry operands, skipping a factor one; a
+    QuasiPolyEntry goes on the left, since Poly does not coerce one."""
+    if a is _ONE or b is _ONE:
+        return b if a is _ONE else a
+    return b * a if isinstance(b, QuasiPolyEntry) else a * b
+
+
 class _Value:
-    """Intermediate semantic value: quasi-polynomial numerator over a
-    delay-free polynomial denominator."""
+    """Intermediate semantic value: a Poly numerator, or a QuasiPolyEntry
+    once a delay appears, over a delay-free polynomial denominator."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: QuasiPolyEntry, den: Poly):
+    def __init__(self, num, den: Poly = _ONE):
         self.num = num
         self.den = den
 
-    @staticmethod
-    def of_poly(p) -> "_Value":
-        return _Value(QuasiPolyEntry.coerce(p), Poly.one())
-
     def __add__(self, other: "_Value") -> "_Value":
-        return _Value(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        a, b = _mul(self.num, other.den), _mul(other.num, self.den)
+        return _Value(b + a if isinstance(b, QuasiPolyEntry) else a + b,
+                      _mul(self.den, other.den))
 
     def __neg__(self) -> "_Value":
         return _Value(-self.num, self.den)
@@ -63,10 +74,11 @@ class _Value:
         return self + (-other)
 
     def __mul__(self, other: "_Value") -> "_Value":
-        return _Value(self.num * other.num, self.den * other.den)
+        return _Value(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def power(self, n: int) -> "_Value":
-        return _Value(self.num ** n, self.den ** n)
+        return _Value(self.num ** n,
+                      self.den if self.den is _ONE else self.den ** n)
 
 
 _TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")"}
@@ -151,13 +163,15 @@ class _Parser:
             if op == "*":
                 v = v * rhs
             else:
-                if not rhs.num.is_polynomial:
-                    raise ParseError("cannot divide by a delayed expression",
-                                     off)
-                divisor = rhs.num.to_poly()
+                divisor = rhs.num
+                if isinstance(divisor, QuasiPolyEntry):
+                    if not divisor.is_polynomial:
+                        raise ParseError("cannot divide by a delayed "
+                                         "expression", off)
+                    divisor = divisor.to_poly()
                 if divisor.is_zero:
                     raise ParseError("division by zero", off)
-                v = _Value(v.num * rhs.den, v.den * divisor)
+                v = _Value(_mul(v.num, rhs.den), _mul(v.den, divisor))
         return v
 
     def unary(self) -> _Value:
@@ -179,9 +193,9 @@ class _Parser:
         if kind == "int":
             # a literal like 3/4 and the division 3 / 4 denote the same
             # value, so the term-level '/' covers rational literals
-            return _Value.of_poly(Poly.const(QQ(int(text))))
+            return _Value(Poly.const(int(text)))
         if kind == "z":
-            return _Value.of_poly(Poly.z())
+            return _Value(Poly.z())
         if kind == "(":
             v = self.expr()
             self.expect(")")
@@ -206,7 +220,7 @@ class _Parser:
             if coeff and not negative:
                 raise ParseError("exponential growth coefficient must be "
                                  "nonpositive", ctok[2])
-            return _Value(QuasiPolyEntry(((Poly.one(), coeff),)), Poly.one())
+            return _Value(QuasiPolyEntry(((_ONE, coeff),)))
         raise ParseError(f"unexpected token {text or 'end of input'!r}", off)
 
 
@@ -214,17 +228,18 @@ def parse_entry(text: str) -> EntryExpr:
     """Parse and normalize one entry expression."""
     v = _Parser(text).parse()
     num, den = v.num, v.den
-    if den.is_constant:
-        inv = den.constant_value().inverse()
-        scaled = QuasiPolyEntry(tuple((p.scale(inv), t)
-                                      for p, t in num.terms))
-        if scaled.is_polynomial:
-            return EntryExpr(text, "polynomial", scaled.to_poly())
-        return EntryExpr(text, "quasipoly", scaled)
-    if not num.is_polynomial:
-        raise ParseError("rational expressions with delays are not "
-                         "supported", 0)
-    f = RatFn(num.to_poly(), den)
+    if isinstance(num, QuasiPolyEntry):
+        if not num.is_polynomial:
+            if not den.is_constant:
+                raise ParseError("rational expressions with delays are not "
+                                 "supported", 0)
+            inv = den.constant_value().inverse()
+            return EntryExpr(text, "quasipoly", QuasiPolyEntry(
+                tuple((p.scale(inv), t) for p, t in num.terms)))
+        num = num.to_poly()
+    if den is _ONE:
+        return EntryExpr(text, "polynomial", num)
+    f = RatFn(num, den)
     if f.is_polynomial:
         return EntryExpr(text, "polynomial", f.to_poly())
     return EntryExpr(text, "rational", f)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import meromat
 from meromat.errors import InputError, ParseError
 from meromat.exactalg import QQ, Poly, RatFn
-from meromat.frontio import files, parse_entry, poly_to_str, qp_to_str, ratfn_to_str
+from meromat.frontio import (cli, files, parse_entry, poly_to_str, qp_to_str,
+                             ratfn_to_str)
 from meromat.holomat import QuasiPolyEntry, QuasiPolyMat, TdsData
 from meromat.polymat import PolyMat
 from meromat.ratmat import RatMat
@@ -80,6 +81,20 @@ class TestParser:
         assert parse_entry("-z^2").value == Poly((QQ(0), QQ(0), QQ(-1)))
         assert parse_entry("--1").value == ONE
 
+    def test_promotion_points(self):
+        e = parse_entry("exp(0*z)*z/(z-1)")
+        assert (e.kind, e.value) == ("rational", RatFn(Z, Z - ONE))
+        e = parse_entry("0*exp(-1*z)")
+        assert (e.kind, e.value) == ("polynomial", Poly.zero())
+        e = parse_entry("exp(-1*z)/2")
+        assert e.kind == "quasipoly"
+        assert e.value.terms == ((Poly.const(QQ(1, 2)), QQ(1)),)
+        e = parse_entry("z/(exp(0*z))")
+        assert (e.kind, e.value) == ("polynomial", Z)
+        with pytest.raises(ParseError) as exc:
+            parse_entry("exp(-1*z)/z")
+        assert exc.value.offset == 0
+
 
 poly_strategy = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=12),
@@ -121,6 +136,115 @@ class TestRenderRoundTrip:
         e = parse_entry(qp_to_str(q))
         assert e.kind != "rational"
         assert QuasiPolyEntry.coerce(e.value) == q
+
+
+# Expression trees rendered to text, each with its value computed directly:
+# a Poly for polynomial trees, a RatFn once a tree divides by a polynomial,
+# a QuasiPolyEntry once an exp term appears. Delayed trees divide only by
+# integer literals, so their value is a quasi-polynomial.
+
+small_int = st.integers(0, 9)
+small_pow = st.integers(0, 3)
+
+
+def _combine(children, lift, div):
+    """Binary and power nodes over `children`; `lift` brings a value into
+    the ring of the result and `div` divides by a value, or is None."""
+    ops = [st.tuples(children, st.sampled_from("+-*"), children).map(
+               lambda t: _binop(t[0], t[1], t[2], lift)),
+           st.tuples(children, small_pow).map(
+               lambda t: (f"({t[0][0]})^{t[1]}", _power(lift(t[0][1]), t[1],
+                                                         lift(ONE)))),
+           children.map(lambda a: (f"-({a[0]})", -lift(a[1])))]
+    if div is not None:
+        ops.append(st.tuples(children, children).filter(
+            lambda t: not t[1][1].is_zero).map(
+            lambda t: (f"({t[0][0]})/({t[1][0]})",
+                       div(lift(t[0][1]), t[1][1]))))
+    return st.one_of(ops)
+
+
+def _power(x, n, one):
+    # RatFn has no __pow__: repeated products in every ring alike
+    for _ in range(n):
+        one = one * x
+    return one
+
+
+def _binop(a, op, b, lift):
+    x, y = lift(a[1]), lift(b[1])
+    value = x + y if op == "+" else x - y if op == "-" else x * y
+    return (f"({a[0]}) {op} ({b[0]})", value)
+
+
+int_leaf = small_int.map(lambda n: (str(n), Poly.const(QQ(n))))
+int_divisor = st.integers(1, 9)
+poly_leaf = st.one_of(int_leaf, st.just(("z", Z)))
+
+poly_tree = st.recursive(poly_leaf, lambda ch: st.one_of(
+    _combine(ch, lambda v: v, None),
+    st.tuples(ch, int_divisor).map(lambda t: (
+        f"({t[0][0]})/{t[1]}", t[0][1].scale(QQ(1, t[1]))))),
+    max_leaves=6)
+
+quotient_leaf = st.tuples(poly_tree, poly_tree).filter(
+    lambda t: t[1][1].degree > 0).map(lambda t: (
+        f"({t[0][0]})/({t[1][0]})", RatFn(t[0][1], t[1][1])))
+
+rational_tree = st.recursive(quotient_leaf, lambda ch:
+                             _combine(ch, RatFn.coerce, lambda x, y: x / y),
+                             max_leaves=5)
+
+exp_leaf = st.tuples(small_int, st.integers(1, 4)).map(lambda t: (
+    f"exp(-{t[0]}/{t[1]}*z)",
+    QuasiPolyEntry(((ONE, QQ(t[0], t[1])),))))
+
+delayed_tree = st.recursive(
+    exp_leaf, lambda ch: st.one_of(
+        _combine(st.one_of(ch, poly_tree), QuasiPolyEntry.coerce, None),
+        st.tuples(ch, int_divisor).map(lambda t: (
+            f"({t[0][0]})/{t[1]}",
+            QuasiPolyEntry.coerce(t[0][1])
+            * QuasiPolyEntry.coerce(QQ(1, t[1]))))),
+    max_leaves=6)
+
+
+def _expected(value):
+    """The kind and normalized value parse_entry must report."""
+    if isinstance(value, QuasiPolyEntry):
+        if not value.is_polynomial:
+            return "quasipoly", value
+        value = value.to_poly()
+    if isinstance(value, RatFn):
+        if not value.is_polynomial:
+            return "rational", value
+        value = value.num
+    return "polynomial", value
+
+
+def _check_parse(tree):
+    text, value = tree
+    kind, expected = _expected(value)
+    e = parse_entry(text)
+    assert e.kind == kind, text
+    assert e.value == expected, text
+
+
+class TestParserDifferential:
+    @given(poly_tree)
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial_trees(self, tree):
+        _check_parse(tree)
+
+    @given(rational_tree)
+    @settings(max_examples=150, deadline=None)
+    def test_rational_trees(self, tree):
+        _check_parse(tree)
+
+    @given(delayed_tree)
+    @settings(max_examples=150, deadline=None)
+    def test_delayed_trees(self, tree):
+        _check_parse(tree)
 
 
 MATRIX_TEXT = """meromat/1 matrix
@@ -199,6 +323,8 @@ class TestFiles:
     def test_errors_are_addressed(self):
         with pytest.raises(InputError, match="line 1"):
             files.loads("not a header\n")
+        with pytest.raises(InputError, match="line 3: expected 'size"):
+            files.loads("meromat/1 matrix\nkind polynomial\nsiz 1 2\n")
         with pytest.raises(InputError, match="row 1 col 2"):
             files.loads("meromat/1 matrix\nkind polynomial\nsize 1 2\n"
                         "row z ; (1)/(z)\n")
@@ -208,6 +334,13 @@ class TestFiles:
         with pytest.raises(InputError, match="layout"):
             files.loads("meromat/1 amd\nring polynomial\ndims 1 1 1\n"
                         "layout diagonal\n")
+
+    @pytest.mark.parametrize("region", ["0 1 0 x", "0 1/0 0 1"])
+    def test_bad_region_is_input_error(self, region):
+        text = ("meromat/1 matrix\nkind polynomial\nsize 1 1\n"
+                f"region {region}\nrow z\n")
+        with pytest.raises(InputError, match="line 4: bad region value"):
+            files.loads(text)
 
     def test_quasipoly_matrix(self):
         text = ("meromat/1 matrix\nkind quasipoly\nsize 1 1\n"
@@ -288,9 +421,66 @@ class TestCli:
         assert res.returncode == 1
         assert "analysis failed" in res.stderr
 
+    def test_bad_region_exits_2(self, workdir):
+        (workdir / "bad.mm").write_text(
+            "meromat/1 matrix\nkind polynomial\nsize 1 1\n"
+            "region 0 1/0 0 1\nrow z\n")
+        res = run_cli("smith", "bad.mm", cwd=workdir)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert "bad region value" in res.stderr
+
     def test_wrong_kind_exits_2(self, workdir):
         res = run_cli("smith-mcmillan", "t.mm", cwd=workdir)
         assert res.returncode == 2
         # argparse usage errors also exit with 2; check it is the CLI's own
         assert res.stderr.startswith("error: ")
         assert "t.mm: expected a matrix file" in res.stderr
+
+
+class TestCliInProcess:
+    """cli.main called repeatedly in one process, as an embedding program
+    would: the argument parser is built once and reused."""
+
+    @pytest.fixture(autouse=True)
+    def _cwd(self, workdir, monkeypatch):
+        (workdir / "g.mm").write_text(MATRIX_TEXT)
+        monkeypatch.chdir(workdir)
+
+    def run(self, capsys, *argv):
+        code = cli.main(list(argv))
+        return code, capsys.readouterr().out
+
+    def test_parser_is_reused(self, capsys):
+        parser = cli._build_parser()
+        assert self.run(capsys, "smith", "m.mm")[0] == 0
+        assert self.run(capsys, "least-order", "g.mm")[0] == 0
+        assert cli._build_parser() is parser
+
+    def test_no_defaults_leak(self, capsys):
+        code, out = self.run(capsys, "mfd", "g.mm", "--side", "left")
+        assert code == 0 and "side: left" in out
+        code, out = self.run(capsys, "mfd", "g.mm")
+        assert code == 0 and "side: right" in out
+
+    def test_usage_error_then_success(self, capsys):
+        first = self.run(capsys, "smith", "m.mm", "--json")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["local-indices", "m.mm"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert self.run(capsys, "smith", "m.mm", "--json") == first
+        assert first[0] == 0
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.strip() == f"meromat {meromat.__version__}"
+
+    def test_matches_subprocess(self, capsys, workdir):
+        code, out = self.run(capsys, "smith", "m.mm", "--json")
+        res = run_cli("smith", "m.mm", "--json", cwd=workdir)
+        assert code == res.returncode == 0
+        assert out == res.stdout
