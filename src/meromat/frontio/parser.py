@@ -10,8 +10,8 @@ Grammar:
     rational := uint ('/' uint)?
 
 Whitespace is insignificant. Exponential coefficients must be nonpositive
-(delays are nonnegative). Division is only defined between delay-free
-subexpressions and yields a rational entry.
+(delays are nonnegative). Divisors are delay-free, and a delayed expression
+is accepted where its denominator divides every term.
 
 Delay-free expressions are evaluated in `Poly` and `RatFn`; a numerator
 becomes a `QuasiPolyEntry` only once an `exp` term enters it.
@@ -79,6 +79,16 @@ class _Value:
     def power(self, n: int) -> "_Value":
         return _Value(self.num ** n,
                       self.den if self.den is _ONE else self.den ** n)
+
+    def delayed(self):
+        """The delayed numerator over the denominator, or None unless the
+        denominator divides every term."""
+        if self.den is _ONE:
+            return self.num
+        parts = [divmod(p, self.den) + (tau,) for p, tau in self.num.terms]
+        if any(r for _, r, _ in parts):
+            return None
+        return QuasiPolyEntry((q, tau) for q, _, tau in parts)
 
 
 _TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")"}
@@ -230,12 +240,11 @@ def parse_entry(text: str) -> EntryExpr:
     num, den = v.num, v.den
     if isinstance(num, QuasiPolyEntry):
         if not num.is_polynomial:
-            if not den.is_constant:
+            value = v.delayed()
+            if value is None:
                 raise ParseError("rational expressions with delays are not "
                                  "supported", 0)
-            inv = den.constant_value().inverse()
-            return EntryExpr(text, "quasipoly", QuasiPolyEntry(
-                tuple((p.scale(inv), t) for p, t in num.terms)))
+            return EntryExpr(text, "quasipoly", value)
         num = num.to_poly()
     if den is _ONE:
         return EntryExpr(text, "polynomial", num)

@@ -211,16 +211,18 @@ class _QpTransferEvaluable:
         x = np.linalg.solve(self.A.eval_many(zs), self.B.eval_many(zs))
         return self.D.eval_many(zs) + self.C.eval_many(zs) @ x
 
-    def eval_deriv_many(self, zs):
-        a = self.A.eval_many(zs)
-        ainv_b = np.linalg.solve(a, self.B.eval_many(zs))
+    def eval_pair_many(self, zs):
+        """Values and derivatives; A^{-1} B serves both."""
+        (a, da), (b, db), (c, dc), (d, dd) = (
+            X.eval_pair_many(zs) for X in (self.A, self.B, self.C, self.D))
+        ainv_b = np.linalg.solve(a, b)
         c_ainv = np.linalg.solve(a.swapaxes(1, 2),
-                                 self.C.eval_many(zs).swapaxes(1, 2)
-                                 ).swapaxes(1, 2)
-        return (self.D.eval_deriv_many(zs)
-                + self.C.eval_deriv_many(zs) @ ainv_b
-                - c_ainv @ self.A.eval_deriv_many(zs) @ ainv_b
-                + c_ainv @ self.B.eval_deriv_many(zs))
+                                 c.swapaxes(1, 2)).swapaxes(1, 2)
+        return (d + c @ ainv_b,
+                dd + dc @ ainv_b - c_ainv @ da @ ainv_b + c_ainv @ db)
+
+    def eval_deriv_many(self, zs):
+        return self.eval_pair_many(zs)[1]
 
     def eval(self, z: complex):
         return self.eval_many([z])[0]
@@ -233,36 +235,39 @@ def qp_transfer_closure(H) -> _QpTransferEvaluable:
     return _QpTransferEvaluable(H.A, H.B, H.C, H.D)
 
 
-class _Stacked:
-    """Node-vector evaluation of an object that evaluates one point at a
-    time through `eval`/`eval_deriv`."""
+class _Adapted:
+    """Values and derivatives together for an object that has only
+    `eval_many`/`eval_deriv_many`, or only `eval`/`eval_deriv`."""
 
-    __slots__ = ("inner", "shape")
+    __slots__ = ("shape", "eval_many", "eval_deriv_many")
 
     def __init__(self, inner):
-        self.inner = inner
         self.shape = tuple(inner.shape)
+        if hasattr(inner, "eval_many") and hasattr(inner, "eval_deriv_many"):
+            self.eval_many = inner.eval_many
+            self.eval_deriv_many = inner.eval_deriv_many
+        else:
+            self.eval_many = lambda zs: self._stack(inner.eval, zs)
+            self.eval_deriv_many = lambda zs: self._stack(inner.eval_deriv, zs)
 
     def _stack(self, f, zs):
         zs = np.asarray(zs, dtype=complex).tolist()
         return np.array([f(z) for z in zs],
                         dtype=complex).reshape((len(zs),) + self.shape)
 
-    def eval_many(self, zs):
-        return self._stack(self.inner.eval, zs)
-
-    def eval_deriv_many(self, zs):
-        return self._stack(self.inner.eval_deriv, zs)
+    def eval_pair_many(self, zs):
+        return self.eval_many(zs), self.eval_deriv_many(zs)
 
 
 def as_evaluable(M):
-    """M itself when it evaluates node vectors (`eval_many` and
-    `eval_deriv_many`, arrays of shape (k, rows, cols)); an adapter that
-    stacks single points when it has only `eval` and `eval_deriv`."""
-    if hasattr(M, "eval_many") and hasattr(M, "eval_deriv_many"):
+    """M itself when it evaluates node vectors, values (`eval_many`, arrays
+    of shape (k, rows, cols)) and values with derivatives (`eval_pair_many`);
+    else an adapter, if M evaluates derivatives apart."""
+    if hasattr(M, "eval_many") and hasattr(M, "eval_pair_many"):
         return M
-    if hasattr(M, "eval") and hasattr(M, "eval_deriv"):
-        return _Stacked(M)
+    if (hasattr(M, "eval_many") and hasattr(M, "eval_deriv_many")
+            or hasattr(M, "eval") and hasattr(M, "eval_deriv")):
+        return _Adapted(M)
     raise InputError(f"cannot evaluate object of type {type(M).__name__}")
 
 
@@ -363,7 +368,16 @@ class Contour:
     max_subdiv: int = 40
 
     @staticmethod
+    def _check(numbers, tol, max_subdiv):
+        if not all(map(cmath.isfinite, numbers)):
+            raise InputError("contour coordinates must be finite")
+        if not (math.isfinite(tol) and tol > 0 and max_subdiv >= 1):
+            raise InputError("quadrature needs a finite tolerance > 0 and "
+                             "max_subdiv >= 1")
+
+    @staticmethod
     def circle(center, radius, tol=1e-8, max_subdiv=40) -> "Contour":
+        Contour._check((center, radius), tol, max_subdiv)
         if radius <= 0:
             raise InputError("circle radius must be positive")
         return Contour(kind="circle", center=complex(center),
@@ -371,6 +385,7 @@ class Contour:
 
     @staticmethod
     def rectangle(x0, x1, y0, y1, tol=1e-8, max_subdiv=40) -> "Contour":
+        Contour._check((x0, x1, y0, y1), tol, max_subdiv)
         if x1 <= x0 or y1 <= y0:
             raise InputError("rectangle must have positive area")
         corners = (complex(x0, y0), complex(x1, y0),
@@ -420,14 +435,9 @@ class CountResult:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _gl_segment(f, a: float, b: float) -> complex:
-    """16-point Gauss-Legendre rule; f maps a parameter array to values.
-    The weighted values are summed in node order."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return sum((_GL_WEIGHTS * f(mid + half * _GL_NODES)).tolist(), 0j) * half
+# panels refined per call of the integrand; a small cap keeps the work of a
+# count that cannot converge close to that of one panel at a time
+_BATCH = 4
 
 
 class _SubdivBudget:
@@ -440,24 +450,68 @@ class _SubdivBudget:
         self.floor = 2.0 ** -max_subdiv
 
 
-def _adaptive(f, a: float, b: float, tol: float, budget: _SubdivBudget,
-              whole=None) -> complex:
-    if whole is None:
-        whole = _gl_segment(f, a, b)
-    mid = 0.5 * (a + b)
-    lo = _gl_segment(f, a, mid)
-    hi = _gl_segment(f, mid, b)
-    if abs(whole - (lo + hi)) <= tol:
-        return lo + hi
-    # tol is halved per level: this deep it is below rounding, never met
-    if b - a < budget.floor:
-        raise ConvergenceError(
-            f"quadrature panel of width {b - a:.3g} has not converged")
-    if budget.left <= 0:
-        raise ConvergenceError("quadrature subdivision budget exhausted")
-    budget.left -= 1
-    return (_adaptive(f, a, mid, tol / 2, budget, lo)
-            + _adaptive(f, mid, b, tol / 2, budget, hi))
+class _Panel:
+    """Parameter interval [a, b] of a segment: tolerance, own rule sum
+    `whole` (None until evaluated), folded `value`, `halves` once split."""
+
+    __slots__ = ("seg", "a", "b", "tol", "whole", "value", "halves")
+
+    def __init__(self, seg, a, b, tol, whole=None):
+        self.seg, self.a, self.b, self.tol, self.whole = seg, a, b, tol, whole
+        self.value = self.halves = None
+
+
+def _integrate(g, segments, tol: float, budget: _SubdivBudget):
+    """Sum over the segments (z(t), z'(t)) of the integral of g(z) z' over
+    t in [0, 1] by adaptive 16-point Gauss-Legendre panels: a panel whose
+    rule misses the sum of its halves' rules by more than its tolerance is
+    split, each half taking half the tolerance. Up to _BATCH panels are
+    taken depth first, evaluated in one call of g, summed in node order
+    and folded as a recursion adds them: no bit depends on _BATCH."""
+    roots = [_Panel(seg, 0.0, 1.0, tol) for seg in segments]
+    made, stack = list(roots), roots[::-1]  # made: parents before halves
+    while stack:
+        batch = stack[:-_BATCH - 1:-1]
+        del stack[-_BATCH:]
+        zs, dzs, halves = [], [], []
+        for p in batch:
+            mid = 0.5 * (p.a + p.b)
+            ends = [(p.a, p.b)] if p.whole is None else []  # segment rule
+            ends += [(p.a, mid), (mid, p.b)]
+            halves += [0.5 * (b - a) for a, b in ends]
+            t = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
+                                for a, b in ends])
+            zs.append(p.seg[0](t))
+            dzs.append(p.seg[1](t))
+        v = _cmul(g(np.concatenate(zs)), np.concatenate(dzs))
+        sums = iter([sum((_GL_WEIGHTS * v[16 * i:16 * i + 16]).tolist(), 0j)
+                     * h for i, h in enumerate(halves)])
+        mark = len(made)
+        for p in batch:
+            if p.whole is None:
+                p.whole = next(sums)
+            lo, hi = next(sums), next(sums)
+            if abs(p.whole - (lo + hi)) <= p.tol:
+                p.value = lo + hi
+                continue
+            # tol is halved per level: this deep it is below rounding
+            if p.b - p.a < budget.floor:
+                raise ConvergenceError(f"quadrature panel of width "
+                                       f"{p.b - p.a:.3g} has not converged")
+            if budget.left <= 0:
+                raise ConvergenceError(
+                    "quadrature subdivision budget exhausted")
+            budget.left -= 1
+            mid = 0.5 * (p.a + p.b)
+            p.halves = (_Panel(p.seg, p.a, mid, p.tol / 2, lo),
+                        _Panel(p.seg, mid, p.b, p.tol / 2, hi))
+            made += p.halves
+        stack += reversed(made[mark:])  # the first left half on top
+    for p in reversed(made):
+        if p.halves:
+            p.value = p.halves[0].value + p.halves[1].value
+    # a numpy scalar: the winding integral keeps numpy's complex division
+    return sum((p.value for p in roots), np.complex128(0))
 
 
 def _check_proximity(ev, contour: Contour, samples: int = 256):
@@ -485,7 +539,7 @@ def _cmul(a, b):
 def _log_deriv_trace(ev):
     """Tr(M^{-1} M') at a vector of nodes."""
     def g(zs):
-        x = np.linalg.solve(ev.eval_many(zs), ev.eval_deriv_many(zs))
+        x = np.linalg.solve(*ev.eval_pair_many(zs))
         return np.trace(x, axis1=1, axis2=2)
 
     return g
@@ -505,9 +559,10 @@ class _Counted:
         self.values += len(zs)
         return self.ev.eval_many(zs)
 
-    def eval_deriv_many(self, zs):
+    def eval_pair_many(self, zs):
+        self.values += len(zs)
         self.derivs += len(zs)
-        return self.ev.eval_deriv_many(zs)
+        return self.ev.eval_pair_many(zs)
 
 
 def count_zeros_minus_poles(M, contour: Contour,
@@ -519,17 +574,10 @@ def count_zeros_minus_poles(M, contour: Contour,
         raise InputError("argument principle needs a square matrix")
     if check_boundary:
         _check_proximity(ev, contour, samples=samples)
-    g = _log_deriv_trace(ev)
     budget = _SubdivBudget(contour.max_subdiv)
     splits = budget.left
-    # a numpy scalar: the winding integral keeps numpy's complex division
-    total = np.complex128(0)
-    for zf, dzf in contour.segments():
-        def f(t, zf=zf, dzf=dzf):
-            return _cmul(g(zf(t)), dzf(t))
-
-        total += _adaptive(f, 0.0, 1.0, contour.tol, budget)
-    raw = total / (2j * math.pi)
+    raw = _integrate(_log_deriv_trace(ev), contour.segments(), contour.tol,
+                     budget) / (2j * math.pi)
     nearest = round(raw.real)
     residual = abs(raw - nearest)
     if residual >= 0.25:
@@ -724,27 +772,17 @@ def local_indices(M, point, kmax: int = 12, pole_order: int | None = None,
 
 
 def _default_pole_order(M, lam: complex) -> int:
-    if isinstance(M, RatMat):
-        best = 0
-        for row in M.entries:
-            for e in row:
-                if not e.den.is_constant:
-                    mult = _numeric_multiplicity(e.den, lam)
-                    best = max(best, mult)
-        return best
-    return 0
-
-
-def _numeric_multiplicity(p: Poly, lam: complex) -> int:
-    """Multiplicity in p of the rational point nearest lam (denominators
-    up to 10^12), or 0 when that point is not an exact root of p."""
+    """For a RatMat, the largest multiplicity in an entry denominator of
+    the rational point nearest lam (denominators up to 10^12); else 0."""
+    if not isinstance(M, RatMat):
+        return 0
     re = Fraction(lam.real).limit_denominator(10 ** 12)
     im = Fraction(lam.imag).limit_denominator(10 ** 12)
     ex = GaussRat(QQ(re.numerator, re.denominator),
                   QQ(im.numerator, im.denominator))
-    if not p.eval_exact(ex):
-        return p.multiplicity_at(ex)
-    return 0
+    dens = {e.den for row in M.entries for e in row if not e.den.is_constant}
+    return max((p.multiplicity_at(ex) for p in dens
+                if not p.eval_exact(ex)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -765,28 +803,21 @@ def regional_coprime(A, B, box, side: str = "right", tol: float = 1e-8):
         n = a.shape[1]
         big = a.shape[0] + b.shape[0]
 
-        def stack(zs):
-            return np.concatenate([a.eval_many(zs), b.eval_many(zs)], axis=1)
-
-        def stack_deriv(zs):
-            return np.concatenate([a.eval_deriv_many(zs),
-                                   b.eval_deriv_many(zs)], axis=1)
+        def join(x, y):
+            return np.concatenate([x, y], axis=1)
     elif side == "left":
         if a.shape[0] != b.shape[0]:
             raise InputError("left coprimeness: row counts differ")
         n = a.shape[0]
         big = a.shape[1] + b.shape[1]
 
-        def stack(zs):
-            return np.concatenate([a.eval_many(zs), b.eval_many(zs)],
-                                  axis=2).swapaxes(1, 2)
-
-        def stack_deriv(zs):
-            return np.concatenate([a.eval_deriv_many(zs),
-                                   b.eval_deriv_many(zs)],
-                                  axis=2).swapaxes(1, 2)
+        def join(x, y):
+            return np.concatenate([x, y], axis=2).swapaxes(1, 2)
     else:
         raise InputError(f"unknown side {side!r}")
+
+    def stack(zs):
+        return join(a.eval_many(zs), b.eval_many(zs))
 
     rng = np.random.default_rng(911375821)
     for _ in range(6):
@@ -798,8 +829,9 @@ def regional_coprime(A, B, box, side: str = "right", tol: float = 1e-8):
             def eval_many(self, zs, g=g):
                 return g @ stack(zs)
 
-            def eval_deriv_many(self, zs, g=g):
-                return g @ stack_deriv(zs)
+            def eval_pair_many(self, zs, g=g):
+                (av, ad), (bv, bd) = a.eval_pair_many(zs), b.eval_pair_many(zs)
+                return g @ join(av, bv), g @ join(ad, bd)
 
         sq = _Squared()
         try:

@@ -237,8 +237,8 @@ class DenseMat:
     its constructor is given.
 
     The first evaluation compiles the matrix, and the first derivative
-    evaluation its exact derivative, to coefficient arrays kept in slots;
-    both then evaluate whole vectors of nodes.
+    evaluation the matrix beside its exact derivative, to coefficient
+    arrays kept in slots; both then evaluate whole vectors of nodes.
     """
 
     __slots__ = ()
@@ -262,7 +262,7 @@ class DenseMat:
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", len(grid[0]) if grid else cols)
-        # numeric forms of the matrix and of its derivative, built on first use
+        # numeric forms of M and of [M | M'], built on first use
         object.__setattr__(self, "_num", None)
         object.__setattr__(self, "_dnum", None)
 
@@ -377,22 +377,31 @@ class DenseMat:
 
     # -- evaluation -------------------------------------------------------
 
-    def _numeric(self, slot, grid):
-        form = getattr(self, slot)
-        if form is None:
-            form = _Numeric(grid(), self.shape, self._split, self._delay)
-            object.__setattr__(self, slot, form)
-        return form
-
     def eval_many(self, zs):
         """Values at a vector of k nodes, shape (k, rows, cols); each equals
         the entry's own evaluation at that node bit for bit."""
-        return self._numeric("_num", lambda: self.entries).at(zs)
+        if self._num is None:
+            object.__setattr__(self, "_num", _Numeric(
+                self.entries, self.shape, self._split, self._delay))
+        return self._num.at(zs)
+
+    def eval_pair_many(self, zs):
+        """(values, values of the exact entrywise derivative) at a vector of
+        nodes, cut from one numeric form of the grid [M | M'] and equal bit
+        for bit to each half's own form: padding to a common degree changes
+        no bit (see `_horner`), nor does adding a delay term that is zero."""
+        c = self.cols
+        if self._dnum is None:
+            grid = [row + tuple(e.derivative() for e in row)
+                    for row in self.entries]
+            object.__setattr__(self, "_dnum", _Numeric(
+                grid, (self.rows, 2 * c), self._split, self._delay))
+        both = self._dnum.at(zs)
+        return both[..., :c], both[..., c:]
 
     def eval_deriv_many(self, zs):
         """Values of the exact entrywise derivative at a vector of nodes."""
-        return self._numeric("_dnum", lambda: [
-            [e.derivative() for e in row] for row in self.entries]).at(zs)
+        return self.eval_pair_many(zs)[1]
 
     def eval(self, z: complex):
         return self.eval_many([z])[0]

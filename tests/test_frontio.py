@@ -21,6 +21,10 @@ Z = Poly.z()
 ONE = Poly.one()
 
 
+def qp_entry(*terms):
+    return QuasiPolyEntry(terms)
+
+
 class TestParser:
     def test_polynomial(self):
         e = parse_entry("z^2 - 3*z + 1")
@@ -95,6 +99,23 @@ class TestParser:
             parse_entry("exp(-1*z)/z")
         assert exc.value.offset == 0
 
+    def test_delayed_over_rational_factor(self):
+        # a denominator that divides every term leaves a quasi-polynomial
+        for text, value in [
+                ("exp(-1*z)*((z^2-1)/(z-1))", qp_entry((Z + ONE, QQ(1)))),
+                ("exp(-1*z)*(z/z)", qp_entry((ONE, QQ(1)))),
+                ("exp(-1*z)/(1/z)", qp_entry((Z, QQ(1)))),
+                ("(z*exp(-1*z) + z^2)/(2*z)",
+                 qp_entry((Z.scale(QQ(1, 2)), QQ(0)),
+                          (Poly.const(QQ(1, 2)), QQ(1))))]:
+            e = parse_entry(text)
+            assert (e.kind, e.value) == ("quasipoly", value), text
+        for text in ("exp(-1*z)/z", "(z + exp(-1*z))/(z-1)",
+                     "exp(-1*z)*((z^2-1)/(z+2))"):
+            with pytest.raises(ParseError) as exc:
+                parse_entry(text)
+            assert exc.value.offset == 0, text
+
 
 poly_strategy = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=12),
@@ -140,8 +161,9 @@ class TestRenderRoundTrip:
 
 # Expression trees rendered to text, each with its value computed directly:
 # a Poly for polynomial trees, a RatFn once a tree divides by a polynomial,
-# a QuasiPolyEntry once an exp term appears. Delayed trees divide only by
-# integer literals, so their value is a quasi-polynomial.
+# a QuasiPolyEntry once an exp term appears. Delayed trees divide by
+# integer literals, and by rational subterms only where these cancel, so
+# their value is a quasi-polynomial.
 
 small_int = st.integers(0, 9)
 small_pow = st.integers(0, 3)
@@ -199,13 +221,25 @@ exp_leaf = st.tuples(small_int, st.integers(1, 4)).map(lambda t: (
     f"exp(-{t[0]}/{t[1]}*z)",
     QuasiPolyEntry(((ONE, QQ(t[0], t[1])),))))
 
+nonzero_poly = poly_tree.filter(lambda t: not t[1].is_zero)
+
+
+def _times(d, r):
+    return QuasiPolyEntry.coerce(d) * QuasiPolyEntry.coerce(r)
+
+
 delayed_tree = st.recursive(
     exp_leaf, lambda ch: st.one_of(
         _combine(st.one_of(ch, poly_tree), QuasiPolyEntry.coerce, None),
         st.tuples(ch, int_divisor).map(lambda t: (
-            f"({t[0][0]})/{t[1]}",
-            QuasiPolyEntry.coerce(t[0][1])
-            * QuasiPolyEntry.coerce(QQ(1, t[1]))))),
+            f"({t[0][0]})/{t[1]}", _times(t[0][1], QQ(1, t[1])))),
+        # D * (Q R / Q) and D / (Q / (Q R)): D times R over a denominator
+        st.tuples(ch, nonzero_poly, poly_tree).map(lambda t: (
+            f"({t[0][0]})*((({t[1][0]})*({t[2][0]}))/({t[1][0]}))",
+            _times(t[0][1], t[2][1]))),
+        st.tuples(ch, nonzero_poly, nonzero_poly).map(lambda t: (
+            f"({t[0][0]})/(({t[1][0]})/(({t[1][0]})*({t[2][0]})))",
+            _times(t[0][1], t[2][1])))),
     max_leaves=6)
 
 
@@ -414,6 +448,13 @@ class TestCli:
         assert res.returncode == 2
         assert res.stderr.startswith("error: ")
         assert "nope.mm" in res.stderr
+
+    def test_bad_tolerance_exits_2(self, workdir):
+        res = run_cli("count", "--tol=nan", "--circle=0,0,1", "m.mm",
+                      cwd=workdir)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert "tolerance" in res.stderr
 
     def test_analysis_failure_exits_1(self, workdir):
         # circle through the zero at the origin

@@ -514,3 +514,321 @@ class TestTds:
                        C_terms=((((1, 1),), 0),))
         res = tds_pole_count(data, Contour.circle(0j, 1.5))
         assert res.n_minus_p == 1  # only the eigenvalue 1 is inside
+
+
+class TestContourInput:
+    """Bad contour settings are input errors, not quadrature failures."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Contour.circle(0, math.nan),
+        lambda: Contour.circle(0, math.inf),
+        lambda: Contour.circle(math.nan, 1),
+        lambda: Contour.circle(complex(0, math.inf), 1),
+        lambda: Contour.rectangle(0, math.nan, 0, 1),
+        lambda: Contour.rectangle(-math.inf, 1, 0, 1),
+        lambda: Contour.rectangle(0, 1, 0, math.inf),
+        lambda: Contour.circle(0, 1, tol=math.nan),
+        lambda: Contour.circle(0, 1, tol=math.inf),
+        lambda: Contour.circle(0, 1, tol=-1),
+        lambda: Contour.circle(0, 1, tol=0),
+        lambda: Contour.rectangle(0, 1, 0, 1, tol=math.nan),
+        lambda: Contour.circle(0, 1, max_subdiv=-3),
+        lambda: Contour.rectangle(0, 1, 0, 1, max_subdiv=0),
+    ])
+    def test_rejected(self, make):
+        with pytest.raises(InputError):
+            make()
+
+    def test_smallest_settings_accepted(self):
+        c = Contour.circle(0, 1, tol=5e-324, max_subdiv=1)
+        assert (c.tol, c.max_subdiv) == (5e-324, 1)
+
+    def test_root_search_tolerance(self):
+        m = RatMat([[RatFn.coerce(Z - ONE)]])
+        with pytest.raises(InputError):
+            roots_in_region(m, (0, 2, -1, 1), tol=math.nan)
+
+
+def old_pole_order(M, lam):
+    """The pole order local_indices used to take by default: the exact
+    point rebuilt for every entry."""
+    from fractions import Fraction
+
+    def multiplicity(p):
+        re = Fraction(lam.real).limit_denominator(10 ** 12)
+        im = Fraction(lam.imag).limit_denominator(10 ** 12)
+        ex = GaussRat(QQ(re.numerator, re.denominator),
+                      QQ(im.numerator, im.denominator))
+        if not p.eval_exact(ex):
+            return p.multiplicity_at(ex)
+        return 0
+
+    if not isinstance(M, RatMat):
+        return 0
+    return max((multiplicity(e.den) for row in M.entries for e in row
+                if not e.den.is_constant), default=0)
+
+
+class TestDefaultPoleOrder:
+    POINTS = [0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 1 + 1e-13j, 0.5 + 0j,
+              3 + 0j, 1j, -1 + 0.25j, 1 / 3 + 0j]
+
+    def test_matches_per_entry_helper(self):
+        rng = random.Random(1729)
+        seen = set()
+        for _ in range(40):
+            m = rand_ratmat(rng, rng.randint(1, 3), rng.randint(1, 3))
+            for lam in self.POINTS:
+                got = holomat._default_pole_order(m, lam)
+                assert got == old_pole_order(m, lam)
+                seen.add(got)
+        assert {0, 1, 2} <= seen
+
+    def test_other_kinds(self):
+        m = PolyMat([[Z * Z]])
+        assert holomat._default_pole_order(m, 0j) == 0
+        assert holomat._default_pole_order(RatMat([[RatFn(ONE, Z ** 3)]]),
+                                           0j) == 3
+
+
+# ---------------------------------------------------------------------------
+# the batched quadrature and the pair evaluation against the formulas they
+# replace
+
+
+def ref_gl_segment(f, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return sum((holomat._GL_WEIGHTS * f(mid + half * holomat._GL_NODES)
+                ).tolist(), 0j) * half
+
+
+def ref_adaptive(f, a, b, tol, budget, whole=None):
+    """The recursive adaptive quadrature, one panel per call."""
+    if whole is None:
+        whole = ref_gl_segment(f, a, b)
+    mid = 0.5 * (a + b)
+    lo = ref_gl_segment(f, a, mid)
+    hi = ref_gl_segment(f, mid, b)
+    if abs(whole - (lo + hi)) <= tol:
+        return lo + hi
+    if b - a < budget.floor:
+        raise ConvergenceError(
+            f"quadrature panel of width {b - a:.3g} has not converged")
+    if budget.left <= 0:
+        raise ConvergenceError("quadrature subdivision budget exhausted")
+    budget.left -= 1
+    return (ref_adaptive(f, a, mid, tol / 2, budget, lo)
+            + ref_adaptive(f, mid, b, tol / 2, budget, hi))
+
+
+def ref_deriv_many(m, zs):
+    """The derivative of a matrix from its own numeric form."""
+    from meromat.linalg_exact import _Numeric
+
+    grid = [[e.derivative() for e in row] for row in m.entries]
+    return _Numeric(grid, m.shape, m._split, m._delay).at(zs)
+
+
+class NodeCount:
+    """g, counting the nodes it is called on."""
+
+    def __init__(self, g):
+        self.g, self.nodes = g, 0
+
+    def __call__(self, zs):
+        self.nodes += len(zs)
+        return self.g(zs)
+
+
+def ref_log_deriv_trace(m):
+    def g(zs):
+        x = np.linalg.solve(m.eval_many(zs), ref_deriv_many(m, zs))
+        return np.trace(x, axis1=1, axis2=2)
+
+    return g
+
+
+def ref_integrate(m, contour):
+    """(total, nodes, splits) by the recursion, or the exception type."""
+    g = NodeCount(ref_log_deriv_trace(m))
+    budget = holomat._SubdivBudget(contour.max_subdiv)
+    total = np.complex128(0)
+    try:
+        for zf, dzf in contour.segments():
+            total += ref_adaptive(
+                lambda t, zf=zf, dzf=dzf: holomat._cmul(g(zf(t)), dzf(t)),
+                0.0, 1.0, contour.tol, budget)
+    except (ConvergenceError, AnalysisError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+    return total, g.nodes, 2 ** min(contour.max_subdiv, 16) - budget.left
+
+
+def new_integrate(m, contour):
+    g = NodeCount(holomat._log_deriv_trace(m))
+    budget = holomat._SubdivBudget(contour.max_subdiv)
+    try:
+        total = holomat._integrate(g, contour.segments(), contour.tol, budget)
+    except (ConvergenceError, AnalysisError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+    return total, g.nodes, 2 ** min(contour.max_subdiv, 16) - budget.left
+
+
+def same_result(got, want):
+    if isinstance(want, type):
+        return got is want
+    return (got[1:] == want[1:]
+            and bits([got[0]]).tolist() == bits([want[0]]).tolist())
+
+
+def rand_contour(rng):
+    tol = rng.choice((1e-6, 1e-8, 1e-10, 1e-12))
+    if rng.random() < 0.5:
+        return Contour.circle(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                              rng.uniform(0.3, 3), tol=tol)
+    x0, y0 = rng.uniform(-3, 1), rng.uniform(-3, 1)
+    return Contour.rectangle(x0, x0 + rng.uniform(0.5, 3), y0,
+                             y0 + rng.uniform(0.5, 3), tol=tol)
+
+
+class TestBatchedQuadrature:
+    def check(self, m, contour):
+        want = ref_integrate(m, contour)
+        assert same_result(new_integrate(m, contour), want)
+        if isinstance(want, type) or len(contour.segments()) == 1:
+            return want
+        # each segment's value alone, with a budget of its own
+        g = ref_log_deriv_trace(m)
+        for zf, dzf in contour.segments():
+            value = ref_adaptive(
+                lambda t: holomat._cmul(g(zf(t)), dzf(t)), 0.0, 1.0,
+                contour.tol, holomat._SubdivBudget(contour.max_subdiv))
+            got = holomat._integrate(
+                holomat._log_deriv_trace(m), [(zf, dzf)], contour.tol,
+                holomat._SubdivBudget(contour.max_subdiv))
+            assert (bits([got]).tolist()
+                    == bits([np.complex128(0) + value]).tolist())
+        return want
+
+    def test_random_ratmats(self):
+        rng = random.Random(2718)
+        splits = 0
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            m = rand_ratmat(rng, n, n)
+            want = self.check(m, rand_contour(rng))
+            if not isinstance(want, type):
+                splits += want[2]
+        assert splits > 0
+
+    def test_random_quasipolymats(self):
+        rng = random.Random(3141)
+        splits = 0
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            m = QuasiPolyMat([[rand_entry(rng, QuasiPolyMat)
+                               for _ in range(n)] for _ in range(n)])
+            want = self.check(m, rand_contour(rng))
+            if not isinstance(want, type):
+                splits += want[2]
+        assert splits > 0
+
+    def test_readme_tds(self):
+        m = tds_state_block(README_TDS)
+        want = self.check(m, Contour.circle(0j, 3.0))
+        assert want[1:] == (1264, 19)
+        self.check(m, Contour.rectangle(-3, 1, -2, 2, tol=1e-10))
+
+    @pytest.mark.parametrize("m, contour", [
+        (tds_state_block(README_TDS), Contour.rectangle(-3, 0, -3, 0)),
+        (PolyMat([[(Z + Poly.const(QQ(3, 2))) ** 2]]),
+         Contour.circle(-1.5, 1e-6, tol=1e-8)),
+        # the depth floor, and the budget shared by the four edges
+        (PolyMat([[Z ** 3 - ONE]]),
+         Contour.circle(0j, 2.0, tol=1e-14, max_subdiv=1)),
+        (PolyMat([[Z ** 3 - ONE]]),
+         Contour.rectangle(-2, 2, -2, 2, tol=1e-15, max_subdiv=2)),
+    ])
+    def test_failures_raise_alike(self, m, contour):
+        assert self.check(m, contour) is ConvergenceError
+
+
+class TestPairEvaluation:
+    """eval_pair_many against eval_many and the derivative's own form."""
+
+    def check(self, m, zs):
+        vals, ders = m.eval_pair_many(zs)
+        assert vals.shape == ders.shape == (len(zs),) + m.shape
+        assert bits(vals).tolist() == bits(m.eval_many(zs)).tolist()
+        assert bits(ders).tolist() == bits(ref_deriv_many(m, zs)).tolist()
+        assert bits(m.eval_deriv_many(zs)).tolist() == bits(ders).tolist()
+
+    @pytest.mark.parametrize("cls", MATRIX_TYPES)
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1), (0, 2),
+                                       (2, 0), (0, 0)])
+    def test_random(self, cls, shape):
+        rows, cols = shape
+        rng = random.Random(f"pair/{cls.kind}/{rows}x{cols}")
+        for _ in range(8):
+            m = cls([[rand_entry(rng, cls) for _ in range(cols)]
+                     for _ in range(rows)], cols)
+            self.check(m, [complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                           for _ in range(rng.randint(1, 40))])
+
+    def test_constant_denominators_and_several_delays(self):
+        self.check(RatMat([[RatFn(Z * Z, Poly.const(QQ(3))), RatFn(ONE)],
+                           [RatFn(Z, Z - ONE), RatFn(0)]]),
+                   [0.3 + 0.1j, -1.2 + 0.7j, 2.0 - 0.5j])
+        m = QuasiPolyMat([[qp([(Z, QQ(0)), (ONE, QQ(1)), (Z * Z, QQ(5, 2))]),
+                           qp([(Poly.const(QQ(2)), QQ(0))])],
+                          [qp([(Poly.const(QQ(-1, 3)), QQ(7, 4))]),
+                           qp([(Z - ONE, QQ(1)), (ONE, QQ(1, 3))])]])
+        self.check(m, [0.3 + 0.1j, -1.2 + 0.7j, 2.0 - 0.5j, -0.5 - 3j])
+
+    def test_overflow_raises_alike(self):
+        m = QuasiPolyMat([[qp([(Z, QQ(0))]), qp([(ONE, QQ(2))])]])
+        zs = [0.5 + 0j, complex(-400, 0)]
+        with pytest.raises(AnalysisError) as pair:
+            m.eval_pair_many(zs)
+        with pytest.raises(AnalysisError) as values:
+            m.eval_many(zs)
+        assert str(pair.value) == str(values.value)
+
+    def test_adapter_supplies_pairs(self):
+        m = RatMat([[RatFn(Z, Z - ONE), RatFn(ONE)], [RatFn(0), Z + ONE]])
+        zs = [0.3 + 0.1j, -1.2 + 0.7j]
+
+        class Many:
+            shape = m.shape
+            eval_many = staticmethod(m.eval_many)
+            eval_deriv_many = staticmethod(m.eval_deriv_many)
+
+        class Single:
+            shape = m.shape
+            eval = staticmethod(m.eval)
+            eval_deriv = staticmethod(m.eval_deriv)
+
+        assert as_evaluable(m) is m
+        for inner in (Many(), Single()):
+            vals, ders = as_evaluable(inner).eval_pair_many(zs)
+            assert (bits(vals) == bits(m.eval_many(zs))).all()
+            assert (bits(ders) == bits(m.eval_deriv_many(zs))).all()
+        with pytest.raises(InputError):
+            as_evaluable(object())
+
+    def test_transfer_pair(self):
+        h = build_tds_amd(README_TDS)
+        ev = holomat.qp_transfer_closure(h)
+        zs = [0.3 + 0.1j, -1.2 + 0.7j, 2.0 - 0.5j]
+        vals, ders = ev.eval_pair_many(zs)
+        assert (bits(vals) == bits(ev.eval_many(zs))).all()
+        # the derivative as it was assembled from separate evaluations
+        a = h.A.eval_many(zs)
+        ainv_b = np.linalg.solve(a, h.B.eval_many(zs))
+        c_ainv = np.linalg.solve(a.swapaxes(1, 2),
+                                 h.C.eval_many(zs).swapaxes(1, 2)
+                                 ).swapaxes(1, 2)
+        want = (ref_deriv_many(h.D, zs) + ref_deriv_many(h.C, zs) @ ainv_b
+                - c_ainv @ ref_deriv_many(h.A, zs) @ ainv_b
+                + c_ainv @ ref_deriv_many(h.B, zs))
+        assert (bits(ders) == bits(want)).all()
