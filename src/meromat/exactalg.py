@@ -1,10 +1,11 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals, univariate
-polynomials and reduced rational functions.
+"""Exact scalar arithmetic: rationals, univariate polynomials over the
+rationals, reduced rational functions, and Gaussian-rational points.
 
 Everything in this module is immutable and exact; no floating point enters
 except through the explicit complex-evaluation helpers. `Poly` arithmetic
 runs on Python ints: the kernel functions take numerator sequences, lowest
-degree first, where an empty imaginary sequence stands for zeros.
+degree first. A non-real point enters only through its real factor
+(`real_factor`), so every polynomial stays rational.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "RatFn",
     "poly_gcd",
     "poly_lcm",
+    "real_factor",
     "squarefree_decomposition",
 ]
 
@@ -33,7 +35,9 @@ _ZERO = QQ(0)
 
 
 class GaussRat:
-    """A Gaussian rational re + im*i with exact rational parts."""
+    """A Gaussian rational re + im*i with exact rational parts: a point of
+    the complex plane, and the view of a `Poly` coefficient (im = 0). It
+    defines no arithmetic."""
 
     __slots__ = ("re", "im")
 
@@ -68,47 +72,6 @@ class GaussRat:
         if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
-
-    def __add__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussRat.coerce(other) - self
-
-    def __mul__(self, other):
-        other = GaussRat.coerce(other)
-        if not self.im and not other.im:
-            return GaussRat(self.re * other.re)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "GaussRat":
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        if not self.im:
-            return GaussRat(1 / self.re)
-        n = self.re * self.re + self.im * self.im
-        return GaussRat(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * GaussRat.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return GaussRat.coerce(other) * self.inverse()
 
     @property
     def is_real(self) -> bool:
@@ -145,15 +108,6 @@ def _lin(a, ma, b, mb):
     return out
 
 
-def _gmul(ar, ai, br, bi):
-    """(re, im) of (ar + i*ai) * (br + i*bi)."""
-    re = _conv(ar, br)
-    if not (ai or bi):
-        return re, ()
-    return (_lin(re, 1, _conv(ai, bi), -1),
-            _lin(_conv(ar, bi), 1, _conv(ai, br), 1))
-
-
 def _pdiv(a, b, q=None):
     """(r, s) with s * a == q * b + r, deg r < deg b and s > 0, for
     len(a) >= len(b) and lc(b) > 0; a step scales by lc(b) / gcd(lc(b), top).
@@ -188,49 +142,60 @@ def _primitive(a):
     return [x // g for x in a] if g != 1 else a
 
 
-def _poly(re, im, den):
-    """The canonical Poly (see its docstring) of (re + i*im) / den."""
-    n = len(re)
-    im = list(im) + [0] * (n - len(im)) if any(im) else ()
-    while n and not (re[n - 1] or im and im[n - 1]):
+def _poly(nums, den):
+    """The canonical Poly (see its docstring) of nums / den."""
+    n = len(nums)
+    while n and not nums[n - 1]:
         n -= 1
-    re, im = tuple(re[:n]), tuple(im[:n])
+    nums = tuple(nums[:n])
     if den != 1:  # with no numerators, g = den and den becomes 1
-        g = gcd(den, *re, *im) if den > 0 else -gcd(den, *re, *im)
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         if g != 1:
-            den, re = den // g, tuple(x // g for x in re)
-            im = tuple(x // g for x in im)
+            den, nums = den // g, tuple(x // g for x in nums)
     p = _new(Poly)
-    _set(p, "re", re)
-    _set(p, "im", im)
+    _set(p, "nums", nums)
     _set(p, "den", den)
     return p
 
 
 def _parts(c):
-    """Integers (re, im, den) with c = (re + i*im) / den and den > 0."""
+    """Integers (num, den) with c = num / den and den > 0."""
     if type(c) is int:
-        return c, 0, 1
-    re, im = (c.re, c.im) if isinstance(c, GaussRat) else (QQ(c), _ZERO)
-    d = lcm(int(re.denominator), int(im.denominator))
-    return (int(re.numerator) * (d // int(re.denominator)),
-            int(im.numerator) * (d // int(im.denominator)), d)
+        return c, 1
+    if isinstance(c, GaussRat):
+        if c.im:
+            raise InputError(f"non-real coefficient {c!r}: polynomials "
+                             "have rational coefficients")
+        c = c.re
+    else:
+        c = QQ(c)
+    return int(c.numerator), int(c.denominator)
+
+
+def real_factor(point) -> "Poly":
+    """The monic real polynomial of least degree that vanishes at `point`:
+    z - a for a real point a, (z - a)^2 + b^2 for a + bi with b != 0. Its
+    multiplicity in a real polynomial is that of the point."""
+    point = GaussRat.coerce(point)
+    a, b = point.re, point.im
+    if not b:
+        return Poly((-a, 1))
+    return Poly((a * a + b * b, -2 * a, 1))
 
 
 class Poly:
-    """Univariate polynomial over the Gaussian rationals, held on integers:
-    the tuples `re` and `im` of numerators, lowest degree first, over one
-    common denominator `den` > 0. No trailing zeros, `im` empty when every
-    coefficient is real, gcd(den, numerators) = 1; the zero polynomial has
-    degree -1. `coeffs` computes the coefficients as GaussRat."""
+    """Univariate polynomial over the rationals, held on integers: the
+    tuple `nums` of numerators, lowest degree first, over one common
+    denominator `den` > 0. No trailing zeros and gcd(den, nums) = 1; the
+    zero polynomial has degree -1. `coeffs` computes the coefficients as
+    real GaussRat."""
 
-    __slots__ = ("re", "im", "den")
+    __slots__ = ("nums", "den")
 
     def __new__(cls, coeffs=()):
         parts = [_parts(c) for c in coeffs]
-        den = lcm(*[d for _, _, d in parts])
-        return _poly([r * (den // d) for r, _, d in parts],
-                     [i * (den // d) for _, i, d in parts], den)
+        den = lcm(*[d for _, d in parts])
+        return _poly([n * (den // d) for n, d in parts], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -240,7 +205,7 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(self._coeff(k) for k in range(len(self.re)))
+        return tuple(self._coeff(k) for k in range(len(self.nums)))
 
     # -- constructors ------------------------------------------------
 
@@ -277,40 +242,34 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return len(self.re) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.re
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
-        return len(self.re) <= 1
+        return len(self.nums) <= 1
 
-    def _scaled(self, cr, ci, cd) -> "Poly":
-        """self * (cr + i*ci) / cd."""
-        if ci:
-            return _poly(*_gmul(self.re, self.im, (cr,), (ci,)), self.den * cd)
-        return _poly([x * cr for x in self.re], [x * cr for x in self.im],
-                     self.den * cd)
+    def _scaled(self, cn, cd) -> "Poly":
+        """self * cn / cd."""
+        return _poly([x * cn for x in self.nums], self.den * cd)
 
     def _plus(self, q, sign) -> "Poly":
         """self + sign * q over the least common denominator."""
         g = gcd(self.den, q.den)
         mp, mq = q.den // g, self.den // g * sign
-        im = _lin(self.im, mp, q.im, mq) if self.im or q.im else ()
-        return _poly(_lin(self.re, mp, q.re, mq), im, self.den * mp)
+        return _poly(_lin(self.nums, mp, q.nums, mq), self.den * mp)
 
     def _lead_inverse(self) -> tuple:
-        """Parts of 1 / lc = den * (x - i*y) / (x^2 + y^2)."""
-        x, y = self.re[-1], self.im[-1] if self.im else 0
-        return self.den * x, -self.den * y, x * x + y * y
+        """Parts of 1 / lc = den / nums[-1]."""
+        return self.den, self.nums[-1]
 
     def _coeff(self, k) -> GaussRat:
-        if not self.re:
+        if not self.nums:
             return _G_ZERO
-        return GaussRat(QQ(self.re[k], self.den),
-                        QQ(self.im[k], self.den) if self.im else _ZERO)
+        return GaussRat(QQ(self.nums[k], self.den))
 
     def leading(self) -> GaussRat:
         return self._coeff(-1)
@@ -320,7 +279,7 @@ class Poly:
 
     @property
     def is_monic(self) -> bool:
-        return self.re[-1:] == (self.den,) and not any(self.im[-1:])
+        return self.nums[-1:] == (self.den,)
 
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
@@ -330,17 +289,16 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.den == other.den and self.re == other.re
-                and self.im == other.im)
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         # a constant hashes like its GaussRat, as a constant RatFn must
-        if len(self.re) <= 1:
+        if len(self.nums) <= 1:
             return hash(self._coeff(0))
-        return hash((self.re, self.im, self.den))
+        return hash((self.nums, self.den))
 
     def __bool__(self):
-        return bool(self.re)
+        return bool(self.nums)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -350,7 +308,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._scaled(-1, 0, 1)
+        return self._scaled(-1, 1)
 
     def __sub__(self, other):
         return self._plus(Poly.coerce(other), -1)
@@ -360,10 +318,9 @@ class Poly:
 
     def __mul__(self, other):
         other = Poly.coerce(other)
-        if not self.re or not other.re:
+        if not self.nums or not other.nums:
             return _P_ZERO
-        re, im = _gmul(self.re, self.im, other.re, other.im)
-        return _poly(re, im, self.den * other.den)
+        return _poly(_conv(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -388,24 +345,14 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return _P_ZERO, self
-        ar, ai, da = self.re, self.im, self.den
-        b, bi, db = other.re, other.im, other.den
-        if bi:  # q of self * conj(B) by the real B * conj(B)
-            ar, ai = _gmul(ar, ai, b, [-y for y in bi])
-            b, da, db = _lin(_conv(b, b), 1, _conv(bi, bi), 1), da * db, db * db
+        b, db = other.nums, other.den
         if b[-1] < 0:
             b, db = [-x for x in b], -db
-        # integer pseudo-division of both parts, brought to one scale s
-        qr, qi = [[0] * (len(ar) - len(b) + 1) for _ in range(2)]
-        rr, sr = _pdiv(ar, b, qr)
-        ri, si = _pdiv(ai, b, qi) if ai else ((), sr)
-        s = lcm(sr, si)
-        mr, mi = s // sr, s // si
-        q = _poly([x * mr * db for x in qr], [x * mi * db for x in qi], s * da)
-        if bi:
-            qb = _poly(*_gmul(q.re, q.im, other.re, bi), q.den * other.den)
-            return q, self._plus(qb, -1)
-        return q, _poly([x * mr for x in rr], [x * mi for x in ri], s * da)
+        # integer pseudo-division: s * self.nums = q * b + r
+        q = [0] * (len(self.nums) - len(b) + 1)
+        r, s = _pdiv(self.nums, b, q)
+        return (_poly([x * db for x in q], s * self.den),
+                _poly(r, s * self.den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -425,21 +372,24 @@ class Poly:
         return q
 
     def derivative(self) -> "Poly":
-        return _poly([k * x for k, x in enumerate(self.re)][1:],
-                     [k * y for k, y in enumerate(self.im)][1:], self.den)
+        return _poly([k * x for k, x in enumerate(self.nums)][1:], self.den)
 
     # -- evaluation ----------------------------------------------------
 
     def eval_exact(self, point) -> GaussRat:
-        # the remainder of the division by z - point
-        return divmod(self, _P_Z - point)[1].constant_value()
+        """The exact value at a Gaussian-rational point a + bi: the
+        remainder c0 + c1*z of the division by the real factor of the
+        point, taken there."""
+        point = GaussRat.coerce(point)
+        r = self % real_factor(point)
+        c0, c1 = (QQ(x, r.den) for x in r.nums + (0, 0)[len(r.nums):])
+        return GaussRat(c0 + c1 * point.re, c1 * point.im)
 
     def __call__(self, z: complex) -> complex:
-        # as GaussRat.to_complex; int / int rounds like float() of a Fraction
+        # int / int rounds once, like float() of a Fraction
         acc, d = 0j, self.den
-        im = self.im or (0,) * len(self.re)
-        for x, y in zip(reversed(self.re), reversed(im)):
-            acc = acc * z + (complex(x / d) + 1j * complex(y / d))
+        for x in reversed(self.nums):
+            acc = acc * z + complex(x / d)
         return acc
 
     def reverse(self, at_degree: int | None = None) -> "Poly":
@@ -447,15 +397,14 @@ class Poly:
         d = self.degree if at_degree is None else at_degree
         if d < self.degree:
             raise ValueError("reversal degree below actual degree")
-        pad = [0] * (d - self.degree)
-        return _poly(pad + list(reversed(self.re)),
-                     pad + list(reversed(self.im)), self.den)
+        return _poly([0] * (d - self.degree) + list(reversed(self.nums)),
+                     self.den)
 
     def multiplicity_at(self, point) -> int:
         """Exact multiplicity of `point` as a root of this polynomial."""
         if self.is_zero:
             raise ValueError("every point is a root of the zero polynomial")
-        factor = _P_Z - point
+        factor = real_factor(point)
         p, k = self, 0
         while True:
             q, r = divmod(p, factor)
@@ -463,16 +412,10 @@ class Poly:
                 return k
             p, k = q, k + 1
 
-    def all_real_rational(self) -> bool:
-        return not self.im
-
     def __repr__(self):
         from .frontio.render import poly_to_str
 
-        try:
-            return f"Poly({poly_to_str(self)})"
-        except Exception:
-            return f"Poly{self.coeffs}"
+        return f"Poly({poly_to_str(self)})"
 
 
 _new = object.__new__
@@ -483,19 +426,16 @@ _P_Z = Poly((0, 1))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) = 0. Real polynomials run a
-    primitive remainder sequence on their integer numerators."""
+    """Monic greatest common divisor; gcd(0, 0) = 0. A primitive remainder
+    sequence on the integer numerators."""
     a, b = Poly.coerce(p), Poly.coerce(q)
-    if 1 in (len(a.re), len(b.re)):
+    if 1 in (len(a.nums), len(b.nums)):
         return _P_ONE
-    if a.im or b.im:
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-    x, y = sorted((_primitive(a.re), _primitive(b.re)), key=len, reverse=True)
+    x, y = sorted((_primitive(a.nums), _primitive(b.nums)), key=len,
+                  reverse=True)
     while y:
         x, y = y, _primitive(_pdiv(x, y)[0])
-    return _poly(x, (), x[-1]) if x else _P_ZERO
+    return _poly(x, x[-1]) if x else _P_ZERO
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
@@ -580,6 +520,8 @@ class RatFn:
         return not self.is_zero
 
     def __eq__(self, other):
+        if isinstance(other, GaussRat) and other.im:
+            return False
         if isinstance(other, (Rational, QQ, Poly, GaussRat)):
             other = RatFn.coerce(other)
         if not isinstance(other, RatFn):
@@ -640,7 +582,4 @@ class RatFn:
     def __repr__(self):
         from .frontio.render import ratfn_to_str
 
-        try:
-            return f"RatFn({ratfn_to_str(self)})"
-        except Exception:
-            return f"RatFn({self.num!r}/{self.den!r})"
+        return f"RatFn({ratfn_to_str(self)})"

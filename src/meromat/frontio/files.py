@@ -289,8 +289,7 @@ def _read_const_rows(lines: _Lines, rows: int, path: str):
             value = _parse_grid_entry(src, "rational",
                                       f"{path} row {i + 1} col {j + 1}")
             f = RatFn.coerce(value)
-            if not (f.is_polynomial and f.num.is_constant
-                    and f.num.all_real_rational()):
+            if not (f.is_polynomial and f.num.is_constant):
                 raise InputError(f"{path} row {i + 1} col {j + 1}: "
                                  "expected a rational constant")
             row.append(f.num.constant_value().re)

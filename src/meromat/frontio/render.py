@@ -6,7 +6,6 @@ file round-trips rely on this being deterministic.
 
 from __future__ import annotations
 
-from ..errors import InputError
 from ..exactalg import GaussRat, Poly, RatFn
 
 __all__ = ["poly_to_str", "ratfn_to_str", "qp_to_str"]
@@ -31,8 +30,6 @@ def poly_to_str(p: Poly) -> str:
     for d, c in reversed(list(enumerate(p.coeffs))):
         if not c:
             continue
-        if not c.is_real:
-            raise InputError("cannot render a non-real coefficient")
         if not pieces:
             sign = "-" if c.re < 0 else ""
             pieces.append(sign + _term_str(c, d))

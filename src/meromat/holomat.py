@@ -367,27 +367,39 @@ class Contour:
     tol: float = 1e-8
     max_subdiv: int = 40
 
-    @staticmethod
-    def _check(numbers, tol, max_subdiv):
-        if not all(map(cmath.isfinite, numbers)):
+    def __post_init__(self):
+        if self.kind == "circle":
+            coords = (self.center, self.radius)
+        elif self.kind == "rectangle":
+            coords = self.corners
+            if len(coords) != 4:
+                raise InputError("a rectangle needs its four corners")
+        else:
+            raise InputError(f"unknown contour kind {self.kind!r}")
+        if not all(map(cmath.isfinite, coords)):
             raise InputError("contour coordinates must be finite")
-        if not (math.isfinite(tol) and tol > 0 and max_subdiv >= 1):
+        if not (math.isfinite(self.tol) and self.tol > 0
+                and self.max_subdiv >= 1):
             raise InputError("quadrature needs a finite tolerance > 0 and "
                              "max_subdiv >= 1")
+        if self.kind == "circle" and self.radius <= 0:
+            raise InputError("circle radius must be positive")
+        if self.kind == "rectangle":
+            lo, hi = coords[0], coords[2]
+            if hi.real <= lo.real or hi.imag <= lo.imag:
+                raise InputError("rectangle must have positive area")
+            if coords != (lo, complex(hi.real, lo.imag), hi,
+                          complex(lo.real, hi.imag)):
+                raise InputError("rectangle corners must run counterclockwise "
+                                 "from the lower left, axis-parallel")
 
     @staticmethod
     def circle(center, radius, tol=1e-8, max_subdiv=40) -> "Contour":
-        Contour._check((center, radius), tol, max_subdiv)
-        if radius <= 0:
-            raise InputError("circle radius must be positive")
         return Contour(kind="circle", center=complex(center),
                        radius=float(radius), tol=tol, max_subdiv=max_subdiv)
 
     @staticmethod
     def rectangle(x0, x1, y0, y1, tol=1e-8, max_subdiv=40) -> "Contour":
-        Contour._check((x0, x1, y0, y1), tol, max_subdiv)
-        if x1 <= x0 or y1 <= y0:
-            raise InputError("rectangle must have positive area")
         corners = (complex(x0, y0), complex(x1, y0),
                    complex(x1, y1), complex(x0, y1))
         return Contour(kind="rectangle", corners=corners,

@@ -127,9 +127,8 @@ def _coeff_array(polys, shape):
     for i, row in enumerate(polys):
         for j, p in enumerate(row):
             # int / int rounds once, as float(Fraction) does
-            for part, nums in enumerate((p.re, p.im)):
-                for d, x in enumerate(nums):
-                    out[deg - d, part, 0, i, j] = x / p.den
+            for d, x in enumerate(p.nums):
+                out[deg - d, 0, 0, i, j] = x / p.den
     return out
 
 

@@ -1,7 +1,7 @@
 """Polynomial-matrix algorithms: Smith and Hermite forms, normal rank,
 gcrd/gcld, coprimeness certificates and Bezout equations.
 
-All computations are exact over Gaussian-rational coefficients. One row
+All computations are exact over rational coefficients. One row
 reduction to Hermite echelon form answers every query but the Smith form.
 """
 
@@ -18,7 +18,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .exactalg import Poly
+from .exactalg import QQ, Poly
 
 __all__ = [
     "PolyMat",
@@ -95,7 +95,7 @@ def _echelon(M: PolyMat):
     m = M.rows
     h = [list(row) for row in M.entries]
     u = [list(row) for row in PolyMat.identity(m).entries]
-    pivots, det_u = [], Poly.one().leading()
+    pivots, det_u = [], QQ(1)
 
     def row_sub(i, j, q):
         h[i] = [a - q * b for a, b in zip(h[i], h[j])]
@@ -118,7 +118,7 @@ def _echelon(M: PolyMat):
                     row_sub(i, k, h[i][j] // h[k][j])
             rest = [i for i in range(k + 1, m) if not h[i][j].is_zero]
         if not h[k][j].is_monic:
-            inv = h[k][j].leading().inverse()
+            inv = 1 / h[k][j].leading().re
             h[k] = [a.scale(inv) for a in h[k]]
             u[k] = [a.scale(inv) for a in u[k]]
             det_u = det_u * inv
@@ -135,7 +135,7 @@ def det(A: PolyMat) -> Poly:
         raise InputError("determinant of a non-square matrix")
     # det H is 0 when a pivot is missing: the last row of H is then zero
     h, _, _, det_u = _echelon(A)
-    d = Poly.const(det_u.inverse())
+    d = Poly.const(1 / det_u)
     for i in range(A.rows):
         d = d * h[i, i]
     return d
@@ -208,7 +208,7 @@ def smith_form(A: PolyMat) -> SmithDecomposition:
 
     def row_scale(i, c):  # S: row_i *= c ; E: col_i /= c
         s[i] = [a.scale(c) for a in s[i]]
-        inv = c.inverse()
+        inv = 1 / c
         for t in range(m):
             e[t][i] = e[t][i].scale(inv)
 
@@ -252,9 +252,9 @@ def smith_form(A: PolyMat) -> SmithDecomposition:
             s[k] = [a + b for a, b in zip(s[k], s[witness])]
             for t in range(m):
                 e[t][witness] = e[t][witness] - e[t][k]
-        lead = s[k][k].leading()
-        if lead != Poly.one().leading():
-            row_scale(k, lead.inverse())
+        lead = s[k][k].leading().re
+        if lead != 1:
+            row_scale(k, 1 / lead)
         k += 1
 
     factors = tuple(s[j][j] for j in range(k))

@@ -18,6 +18,7 @@ from .exactalg import (
     RatFn,
     poly_gcd,
     poly_lcm,
+    real_factor,
     squarefree_decomposition,
 )
 from .polymat import PolyMat
@@ -86,22 +87,14 @@ class RatMat(linalg_exact.DenseMat):
 # root handles and divisors
 
 
-def _rationalize(x: float, p: Poly):
-    """Try to identify a float as an exact rational root of p."""
-    for digits in (6, 9, 12):
-        cand = Fraction(x).limit_denominator(10 ** digits)
-        g = GaussRat(QQ(cand.numerator, cand.denominator))
-        if not p.eval_exact(g):
-            return g
-    return None
-
-
-def _rationalize_complex(z: complex, p: Poly):
-    if abs(z.imag) < 1e-12:
-        return _rationalize(z.real, p)
+def _rationalize(z: complex, p: Poly):
+    """The exact root of p that z approximates, if one is found: a
+    Gaussian rational whose parts have denominators up to 10^6, 10^9 or
+    10^12, real when |Im z| < 1e-12."""
+    real = abs(z.imag) < 1e-12
     for digits in (6, 9, 12):
         re = Fraction(z.real).limit_denominator(10 ** digits)
-        im = Fraction(z.imag).limit_denominator(10 ** digits)
+        im = 0 if real else Fraction(z.imag).limit_denominator(10 ** digits)
         g = GaussRat(QQ(re.numerator, re.denominator),
                      QQ(im.numerator, im.denominator))
         if not p.eval_exact(g):
@@ -111,7 +104,8 @@ def _rationalize_complex(z: complex, p: Poly):
 
 class RootHandle:
     """A located root: either an exact Gaussian rational, or a numeric
-    approximation tagged with the monic squarefree factor it annihilates."""
+    approximation tagged with the monic squarefree factor it annihilates.
+    A handle equals only handles."""
 
     __slots__ = ("exact", "approx", "factor")
 
@@ -140,8 +134,6 @@ class RootHandle:
         return self.approx
 
     def __eq__(self, other):
-        if isinstance(other, (int, GaussRat)):
-            other = RootHandle(exact=other)
         if not isinstance(other, RootHandle):
             return NotImplemented
         if self.is_exact and other.is_exact:
@@ -161,8 +153,9 @@ class RootHandle:
 
 
 def poly_roots(p: Poly) -> list[tuple[RootHandle, int]]:
-    """All roots of p with multiplicities; rational (Gaussian rational)
-    roots are identified exactly, the rest carried as numeric handles."""
+    """All roots of p with multiplicities; Gaussian-rational roots are
+    identified exactly, a non-real one together with its conjugate, and
+    the rest carried as numeric handles."""
     p = Poly.coerce(p)
     if p.is_zero:
         raise InputError("roots of the zero polynomial")
@@ -176,10 +169,13 @@ def poly_roots(p: Poly) -> list[tuple[RootHandle, int]]:
         for z in roots:
             if rem.is_constant:
                 break
-            ex = _rationalize_complex(complex(z), rem)
-            if ex is not None:
-                out.append((RootHandle(exact=ex), k))
-                rem = rem.exact_div(Poly((-ex, 1)))
+            ex = _rationalize(complex(z), rem)
+            if ex is None:
+                continue
+            out.append((RootHandle(exact=ex), k))
+            if not ex.is_real:
+                out.append((RootHandle(exact=GaussRat(ex.re, -ex.im)), k))
+            rem = rem.exact_div(real_factor(ex))
         if not rem.is_constant:
             for z in np.roots([c.to_complex() for c in reversed(rem.coeffs)]):
                 out.append((RootHandle(approx=complex(z), factor=rem), k))

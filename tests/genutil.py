@@ -5,9 +5,10 @@ stay reproducible.
 """
 
 import random
+from fractions import Fraction
 
 from meromat import polymat, sysmat
-from meromat.exactalg import QQ, GaussRat, Poly, RatFn
+from meromat.exactalg import QQ, Poly, RatFn
 from meromat.polymat import PolyMat
 from meromat.ratmat import RatMat
 from meromat.sysmat import Amd
@@ -157,29 +158,33 @@ def transformed_realization(rng: random.Random, h: Amd) -> Amd:
     return Amd(A=u @ h.A @ v, B=u @ h.B, C=h.C @ v, D=h.D)
 
 
-def rand_qpoly(rng: random.Random, max_deg: int, gaussian: bool = False,
-               nonzero: bool = False, bits: int = 4) -> Poly:
+def rand_qpoly(rng: random.Random, max_deg: int, nonzero: bool = False,
+               bits: int = 4) -> Poly:
     """Polynomial with rational coefficients (numerators and denominators of
-    about `bits` bits), Gaussian ones when `gaussian`; zero about one time in
-    eight unless `nonzero`."""
+    about `bits` bits); zero about one time in eight unless `nonzero`."""
     def q():
         return QQ(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
 
     while True:
         if not nonzero and rng.random() < 1 / 8:
             return Poly.zero()
-        p = Poly([GaussRat(q(), q() if gaussian and rng.random() < 0.7 else 0)
-                  for _ in range(rng.randint(0, max_deg) + 1)])
+        p = Poly([q() for _ in range(rng.randint(0, max_deg) + 1)])
         if not p.is_zero:
             return p
 
 
-# -- reference arithmetic on lists of GaussRat, lowest degree first: the
+# -- reference arithmetic on lists of Fraction, lowest degree first: the
 # coefficient-by-coefficient algorithms, an oracle for Poly's integer kernel
 
 
+def fracs(p: Poly) -> list:
+    """The coefficients of p as a list of Fraction."""
+    return [Fraction(int(c.re.numerator), int(c.re.denominator))
+            for c in p.coeffs]
+
+
 def ref_trim(cs) -> list:
-    cs = [GaussRat.coerce(c) for c in cs]
+    cs = [Fraction(c) for c in cs]
     while cs and not cs[-1]:
         cs.pop()
     return cs
@@ -187,25 +192,24 @@ def ref_trim(cs) -> list:
 
 def ref_add(a, b, sign=1) -> list:
     n = max(len(a), len(b))
-    a = list(a) + [GaussRat(0)] * (n - len(a))
-    b = list(b) + [GaussRat(0)] * (n - len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
     return ref_trim(x + y * sign for x, y in zip(a, b))
 
 
 def ref_mul(a, b) -> list:
-    out = [GaussRat(0)] * max(len(a) + len(b) - 1, 0)
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+            out[i + j] += x * y
     return ref_trim(out)
 
 
 def ref_divmod(a, b) -> tuple:
     rem = list(a)
-    inv = b[-1].inverse()
-    quo = [GaussRat(0)] * max(len(a) - len(b) + 1, 0)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + len(b) - 1] * inv
+        c = rem[k + len(b) - 1] / b[-1]
         quo[k] = c
         for j, y in enumerate(b):
             rem[k + j] = rem[k + j] - c * y
@@ -213,11 +217,11 @@ def ref_divmod(a, b) -> tuple:
 
 
 def ref_monic(a) -> list:
-    return ref_mul(a, [a[-1].inverse()]) if a else []
+    return ref_mul(a, [1 / a[-1]]) if a else []
 
 
 def ref_gcd(a, b) -> list:
-    """Monic gcd by Euclid over the Gaussian rationals."""
+    """Monic gcd by Euclid over the rationals."""
     a, b = ref_trim(a), ref_trim(b)
     while b:
         a, b = b, ref_divmod(a, b)[1]
@@ -228,16 +232,19 @@ def ref_derivative(a) -> list:
     return ref_trim([c * k for k, c in enumerate(a)][1:])
 
 
-def ref_eval_exact(a, x):
-    acc = GaussRat(0)
+def ref_eval_exact(a, x) -> tuple:
+    """(re, im) of the value at the point x = re + im*i (a pair of
+    Fraction), by Horner on pairs."""
+    xr, xi = x
+    re = im = Fraction(0)
     for c in reversed(a):
-        acc = acc * x + c
-    return acc
+        re, im = re * xr - im * xi + c, re * xi + im * xr
+    return re, im
 
 
 def ref_call(a, z: complex) -> complex:
     """Horner on the complex values of the coefficients."""
     acc = 0j
     for c in reversed(a):
-        acc = acc * z + c.to_complex()
+        acc = acc * z + complex(c)
     return acc

@@ -124,26 +124,23 @@ class TestDenseMat:
             assert (m.eval_deriv(z) == want).all()
 
 
-def rand_gpoly(rng, max_deg):
-    """Polynomial with Gaussian-rational coefficients; zero about one time
-    in six."""
+def rand_rpoly(rng, max_deg):
+    """Polynomial with rational coefficients; zero about one time in six."""
     if rng.random() < 1 / 6:
         return Poly.zero()
-    return Poly([GaussRat(QQ(rng.randint(-9, 9), rng.randint(1, 7)),
-                          QQ(rng.randint(-3, 3), rng.randint(1, 5))
-                          if rng.random() < 0.3 else 0)
+    return Poly([QQ(rng.randint(-9, 9), rng.randint(1, 7))
                  for _ in range(rng.randint(0, max_deg) + 1)])
 
 
 def rand_entry(rng, cls):
     if cls is PolyMat:
-        return rand_gpoly(rng, 4)
+        return rand_rpoly(rng, 4)
     if cls is RatMat:
         while True:
-            den = rand_gpoly(rng, rng.choice((0, 3)))  # constant or not
+            den = rand_rpoly(rng, rng.choice((0, 3)))  # constant or not
             if not den.is_zero:
-                return RatFn(rand_gpoly(rng, 3), den)
-    return qp([(rand_gpoly(rng, 3), QQ(rng.randint(0, 6), rng.randint(1, 3)))
+                return RatFn(rand_rpoly(rng, 3), den)
+    return qp([(rand_rpoly(rng, 3), QQ(rng.randint(0, 6), rng.randint(1, 3)))
                for _ in range(rng.randint(0, 3))])
 
 
@@ -538,6 +535,36 @@ class TestContourInput:
     def test_rejected(self, make):
         with pytest.raises(InputError):
             make()
+
+    @pytest.mark.parametrize("fields", [
+        dict(kind="circle"),  # the default radius 0
+        dict(kind="box"),
+        dict(kind="circle", radius=-1.0),
+        dict(kind="circle", center=complex(math.nan, 0), radius=1.0),
+        dict(kind="circle", radius=math.inf),
+        dict(kind="circle", radius=1.0, tol=0.0),
+        dict(kind="circle", radius=1.0, max_subdiv=0),
+        dict(kind="rectangle"),
+        dict(kind="rectangle", corners=(0j, 1 + 0j, 1 + 1j)),
+        dict(kind="rectangle", corners=(1 + 1j, 1j, 0j, 1 + 0j)),
+        dict(kind="rectangle", corners=(0j, 1 + 0j, 1 + 1j, 2j)),
+        dict(kind="rectangle", corners=(0j, 1 + 0j, 1 + 0j, 0j)),
+        dict(kind="rectangle", corners=(0j, complex(math.inf, 0),
+                                        complex(math.inf, 1), 1j)),
+    ])
+    def test_direct_construction_rejected(self, fields):
+        # a directly built contour is checked like circle() and rectangle()
+        with pytest.raises(InputError):
+            Contour(**fields)
+
+    def test_direct_construction_accepted(self):
+        m = RatMat([[RatFn.coerce(Z - Poly.const(5))]])
+        for c in (Contour(kind="circle", center=5 + 0j, radius=1.0),
+                  Contour(kind="rectangle",
+                          corners=(4 - 1j, 6 - 1j, 6 + 1j, 4 + 1j))):
+            assert count_zeros_minus_poles(m, c).n_minus_p == 1
+        assert Contour.rectangle(4, 6, -1, 1) == Contour(
+            kind="rectangle", corners=(4 - 1j, 6 - 1j, 6 + 1j, 4 + 1j))
 
     def test_smallest_settings_accepted(self):
         c = Contour.circle(0, 1, tol=5e-324, max_subdiv=1)

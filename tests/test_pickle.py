@@ -14,7 +14,7 @@ ONE = Poly.one()
 
 OBJECTS = {
     "GaussRat": GaussRat(QQ(1, 2), QQ(-3)),
-    "Poly": Poly([QQ(2, 3), 0, GaussRat(1, 1)]),
+    "Poly": Poly([QQ(2, 3), 0, QQ(-5, 4)]),
     "RatFn": RatFn(Z + ONE, Z * Z - 2),
     "QuasiPolyEntry": QuasiPolyEntry([(Z, 0), (ONE, QQ(1, 2))]),
     "PolyMat": PolyMat([[Z, ONE], [0, Z * Z]]),

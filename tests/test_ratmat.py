@@ -2,10 +2,16 @@ import random
 
 import pytest
 
-from genutil import local_exponent_oracle, rand_ratmat, rand_unimodular
+from genutil import (
+    fracs,
+    local_exponent_oracle,
+    rand_qpoly,
+    rand_ratmat,
+    rand_unimodular,
+)
 from meromat import polymat, ratmat
 from meromat.errors import InputError, NotCoprimeError
-from meromat.exactalg import QQ, GaussRat, Poly, RatFn, poly_gcd
+from meromat.exactalg import QQ, GaussRat, Poly, RatFn, poly_gcd, real_factor
 from meromat.polymat import PolyMat
 from meromat.ratmat import (
     Divisor,
@@ -63,6 +69,18 @@ class TestRoots:
         assert all(h.is_exact for h in handles)
         assert {h.exact.im for h in handles} == {QQ(1), QQ(-1)}
 
+    def test_planted_conjugate_pair(self):
+        # both members of a non-real pair come back exact, each with its
+        # multiplicity, beside a rational and two irrational roots
+        w = GaussRat(QQ(-2, 3), QQ(5, 4))
+        p = (real_factor(w) ** 2 * (Z - Poly.const(QQ(1, 3)))
+             * (Z * Z - Poly.const(2)))
+        roots = poly_roots(p)
+        exact = {h.exact: k for h, k in roots if h.is_exact}
+        assert exact == {w: 2, GaussRat(w.re, -w.im): 2, QQ(1, 3): 1}
+        assert sum(k for _, k in roots) == p.degree
+        assert sorted(k for h, k in roots if not h.is_exact) == [1, 1]
+
     def test_irrational_roots_are_numeric(self):
         p = Poly((QQ(-2), QQ(0), QQ(1)))  # z^2 - 2
         handles = [h for h, _ in poly_roots(p)]
@@ -71,6 +89,15 @@ class TestRoots:
 
     def test_handle_equality(self):
         assert RootHandle(approx=1.0000000001 + 0j) == RootHandle(exact=QQ(1))
+
+    @pytest.mark.parametrize("point", [GaussRat(QQ(1, 3)), QQ(1, 3)])
+    def test_handle_is_not_a_point(self, point):
+        # a handle equals only handles, so it never equals a point it does
+        # not hash like
+        h = RootHandle(exact=QQ(1, 3))
+        assert h != point and point != h
+        assert len({h, point}) == 2
+        assert h != 1 and RootHandle(exact=1) != 1
 
     @pytest.mark.parametrize("exact, approx", [
         (QQ(1), 1 + 0j),
@@ -237,3 +264,87 @@ class TestLeastOrder:
     def test_total(self):
         m = RatMat([[RatFn(ONE, Z * Z)]])
         assert least_order_total(m) == 2
+
+
+def _sym(p, z):
+    import sympy
+
+    return sum(sympy.Rational(c.numerator, c.denominator) * z ** k
+               for k, c in enumerate(fracs(p)))
+
+
+def _sym_order(expr, z, pt):
+    """Order at pt of a rational sympy expression: the vanishing
+    derivatives of its numerator minus those of its denominator, there."""
+    import sympy
+
+    def mult(e):
+        k = 0
+        while sympy.expand(sympy.diff(e, z, k).subs(z, pt)) == 0:
+            k += 1
+        return k
+
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    return mult(num) - mult(den)
+
+
+class TestNonRealPoints:
+    """Orders and local exponents at non-real points a + bi, against sympy
+    at a + b*I, on random real polynomials with a planted factor
+    ((z - a)^2 + b^2)^k."""
+
+    @staticmethod
+    def point(rng):
+        a = QQ(rng.randint(-4, 4), rng.randint(1, 3))
+        b = QQ(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice([-1, 1])
+        return GaussRat(a, b)
+
+    def test_divisor_order(self):
+        sp = pytest.importorskip("sympy")
+        z = sp.Symbol("z")
+        rng = random.Random(27)
+        for _ in range(20):
+            w = self.point(rng)
+            pt = sp.Rational(w.re.numerator, w.re.denominator) + sp.I * \
+                sp.Rational(w.im.numerator, w.im.denominator)
+            q = real_factor(w)
+            zeros = q ** rng.randint(0, 3) * rand_qpoly(rng, 3, nonzero=True)
+            poles = q ** rng.randint(0, 3) * rand_qpoly(rng, 3, nonzero=True)
+            d = Divisor(zeros=zeros, poles=poles)
+            want = _sym_order(_sym(zeros, z) / _sym(poles, z), z, pt)
+            assert d.order_at(w) == d.order_at(GaussRat(w.re, -w.im)) == want
+
+    def test_pole_zero_index(self):
+        sp = pytest.importorskip("sympy")
+        from itertools import combinations
+
+        z = sp.Symbol("z")
+        rng = random.Random(28)
+        for _ in range(8):
+            w = self.point(rng)
+            pt = sp.Rational(w.re.numerator, w.re.denominator) + sp.I * \
+                sp.Rational(w.im.numerator, w.im.denominator)
+            q = real_factor(w)
+            grid = [[RatFn(q ** rng.randint(0, 2)
+                           * rand_qpoly(rng, 1, nonzero=True),
+                           q ** rng.randint(0, 2)
+                           * rand_qpoly(rng, 1, nonzero=True))
+                     for _ in range(2)] for _ in range(2)]
+            m = RatMat(grid)
+            sym = sp.Matrix(2, 2, [_sym(e.num, z) / _sym(e.den, z)
+                                   for row in grid for e in row])
+            # delta_k: least order at pt over the nonzero k x k minors
+            deltas = [0]
+            for k in (1, 2):
+                orders = []
+                for rows in combinations(range(2), k):
+                    for cols in combinations(range(2), k):
+                        minor = sp.cancel(sym.extract(list(rows),
+                                                      list(cols)).det())
+                        if minor != 0:
+                            orders.append(_sym_order(minor, z, pt))
+                if not orders:
+                    break
+                deltas.append(min(orders))
+            want = tuple(b - a for a, b in zip(deltas, deltas[1:]))
+            assert pole_zero_index(m, w).values == want
