@@ -331,6 +331,12 @@ def nrank_sampled(M, samples: int = 16) -> int:
                 mats.append(ev.eval_many([z])[0])
             except AnalysisError:
                 continue
+    # scale each sample's rows, then its columns, to unit max-norm, so that
+    # no full-rank sample is ambiguous by its scaling alone
+    mats = np.reshape(mats, (-1,) + ev.shape)
+    for axis in (2, 1):
+        norm = np.abs(mats).max(axis=axis, keepdims=True, initial=0.0)
+        mats = mats / np.where(norm > 0, norm, 1.0)
     try:
         svals = np.linalg.svd(mats, compute_uv=False)
     except np.linalg.LinAlgError:  # one bad point fails the whole stack

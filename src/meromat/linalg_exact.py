@@ -235,13 +235,17 @@ class DenseMat:
     equal entries. A matrix with no rows keeps the column count `cols` that
     its constructor is given.
 
-    The first evaluation compiles the matrix, and the first derivative
-    evaluation the matrix beside its exact derivative, to coefficient
-    arrays kept in slots; both then evaluate whole vectors of nodes.
+    Forms derived from a matrix are built on first use and kept in one
+    slot, `_kept`, through `_keep`: the numeric forms of M and of [M | M']
+    (coefficient arrays that evaluate whole vectors of nodes), the Hermite
+    echelon, and the Smith or Smith-McMillan form, each immutable.
+    Equality, hashing and pickling ignore the slot: equal matrices built
+    apart build their own forms, and a pickled or copied matrix starts
+    with none.
     """
 
     __slots__ = ()
-    SLOTS = ("rows", "cols", "entries", "_num", "_dnum")
+    SLOTS = ("rows", "cols", "entries", "_kept")
 
     entry = None
     kind = None
@@ -261,12 +265,18 @@ class DenseMat:
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", len(grid[0]) if grid else cols)
-        # numeric forms of M and of [M | M'], built on first use
-        object.__setattr__(self, "_num", None)
-        object.__setattr__(self, "_dnum", None)
+        object.__setattr__(self, "_kept", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _keep(self, key, build):
+        """build(self), built on the first call for `key` and then kept."""
+        if self._kept is None:
+            object.__setattr__(self, "_kept", {})
+        if key not in self._kept:
+            self._kept[key] = build(self)
+        return self._kept[key]
 
     def __reduce__(self):
         return type(self), (self.entries, self.cols)
@@ -379,10 +389,8 @@ class DenseMat:
     def eval_many(self, zs):
         """Values at a vector of k nodes, shape (k, rows, cols); each equals
         the entry's own evaluation at that node bit for bit."""
-        if self._num is None:
-            object.__setattr__(self, "_num", _Numeric(
-                self.entries, self.shape, self._split, self._delay))
-        return self._num.at(zs)
+        return self._keep("numeric", lambda m: _Numeric(
+            m.entries, m.shape, m._split, m._delay)).at(zs)
 
     def eval_pair_many(self, zs):
         """(values, values of the exact entrywise derivative) at a vector of
@@ -390,12 +398,9 @@ class DenseMat:
         for bit to each half's own form: padding to a common degree changes
         no bit (see `_horner`), nor does adding a delay term that is zero."""
         c = self.cols
-        if self._dnum is None:
-            grid = [row + tuple(e.derivative() for e in row)
-                    for row in self.entries]
-            object.__setattr__(self, "_dnum", _Numeric(
-                grid, (self.rows, 2 * c), self._split, self._delay))
-        both = self._dnum.at(zs)
+        both = self._keep("numeric_pair", lambda m: _Numeric(
+            [row + tuple(e.derivative() for e in row) for row in m.entries],
+            (m.rows, 2 * c), m._split, m._delay)).at(zs)
         return both[..., :c], both[..., c:]
 
     def eval_deriv_many(self, zs):

@@ -91,7 +91,8 @@ def _echelon(M: PolyMat):
 
     Row k of H has a monic pivot in column pivots[k], zeros below it and
     entries of lower degree above it; rows past the last pivot are zero.
-    Returns (H, U, pivots, det U), det U being a nonzero constant."""
+    Returns (H, U, pivots, det U), det U being a nonzero constant. Queries
+    read it kept on M, `M._keep("echelon", _echelon)`, and only len(pivots)."""
     m = M.rows
     h = [list(row) for row in M.entries]
     u = [list(row) for row in PolyMat.identity(m).entries]
@@ -134,7 +135,7 @@ def det(A: PolyMat) -> Poly:
     if A.rows != A.cols:
         raise InputError("determinant of a non-square matrix")
     # det H is 0 when a pivot is missing: the last row of H is then zero
-    h, _, _, det_u = _echelon(A)
+    h, _, _, det_u = A._keep("echelon", _echelon)
     d = Poly.const(1 / det_u)
     for i in range(A.rows):
         d = d * h[i, i]
@@ -143,14 +144,14 @@ def det(A: PolyMat) -> Poly:
 
 def nrank(A: PolyMat) -> int:
     """Normal rank: rank over the rational-function field."""
-    return len(_echelon(A)[2])
+    return len(A._keep("echelon", _echelon)[2])
 
 
 def is_unimodular(A: PolyMat) -> bool:
     """True iff A is square with constant nonzero determinant."""
     if A.rows != A.cols:
         raise InputError("unimodularity is defined for square matrices")
-    return _echelon(A)[0] == PolyMat.identity(A.rows)
+    return A._keep("echelon", _echelon)[0] == PolyMat.identity(A.rows)
 
 
 def inverse_unimodular(A: PolyMat) -> PolyMat:
@@ -178,8 +179,13 @@ def smith_form(A: PolyMat) -> SmithDecomposition:
 
     Pivots are chosen as a nonzero entry of minimal degree (ties broken by
     lowest row, then column); invariant factors come out monic and satisfy
-    the divisibility chain.
+    the divisibility chain. The decomposition is kept on A.
     """
+    return A._keep("smith", _smith)
+
+
+def _smith(A: PolyMat) -> SmithDecomposition:
+    """The elimination of `smith_form`, uncached."""
     m, n = A.rows, A.cols
     s = [list(row) for row in A.entries]
     e = [list(row) for row in PolyMat.identity(m).entries]
@@ -270,7 +276,7 @@ def hermite_form(D: PolyMat) -> tuple[PolyMat, PolyMat]:
     entries of degree below the diagonal entry in their column."""
     if D.cols != D.rows:
         raise InputError("hermite_form expects a square matrix")
-    h, u, pivots, _ = _echelon(D)
+    h, u, pivots, _ = D._keep("echelon", _echelon)
     if len(pivots) < D.rows:
         raise SingularMatrixError("hermite_form of a singular matrix")
     return h, u
@@ -283,7 +289,7 @@ def gcrd(A: PolyMat, B: PolyMat) -> GcrdResult:
     if A.cols != B.cols:
         raise InputError("gcrd: column counts differ")
     n, m = A.cols, A.rows
-    h, u, pivots, _ = _echelon(A.vstack(B))
+    h, u, pivots, _ = A.vstack(B)._keep("echelon", _echelon)
     if len(pivots) < n:
         raise RankDeficientError(
             f"gcrd undefined: [A; B] has normal rank {len(pivots)} < {n}")
@@ -317,7 +323,7 @@ def are_right_coprime(A: PolyMat, B: PolyMat):
     if A.cols != B.cols:
         raise InputError("coprimeness: column counts differ")
     n, m = A.cols, A.rows
-    h, u, _, _ = _echelon(A.vstack(B))
+    h, u, _, _ = A.vstack(B)._keep("echelon", _echelon)
     eye, top = PolyMat.identity(n), slice(0, n)
     if h.submatrix(top, slice(None)) != eye:
         return False, None

@@ -314,7 +314,12 @@ class SmithMcMillanDecomposition:
 
 def smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     """Clear the least common denominator, take the polynomial Smith form,
-    and reduce each diagonal entry back against the denominator."""
+    and reduce each diagonal entry back against the denominator. The
+    decomposition is kept on M, so every query on M shares it."""
+    return M._keep("smith_mcmillan", _smith_mcmillan)
+
+
+def _smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     d = M.denominator_lcm()
     cleared = PolyMat([[(e * RatFn(d)).to_poly() for e in row]
                        for row in M.entries])

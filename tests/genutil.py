@@ -24,6 +24,25 @@ def rand_poly(rng: random.Random, max_deg: int = 3, span: int = 4,
     return p
 
 
+def fresh(m):
+    """An equal matrix of the same type with no forms kept yet."""
+    return type(m)(m.entries, m.cols)
+
+
+def record_calls(monkeypatch, module, name: str) -> list:
+    """Wrap the one-argument function `module.name` so that each call
+    appends its argument to the returned list."""
+    seen = []
+    real = getattr(module, name)
+
+    def recorded(arg):
+        seen.append(arg)
+        return real(arg)
+
+    monkeypatch.setattr(module, name, recorded)
+    return seen
+
+
 def rand_polymat(rng: random.Random, rows: int, cols: int,
                  max_deg: int = 3) -> PolyMat:
     return PolyMat([[rand_poly(rng, max_deg) for _ in range(cols)]

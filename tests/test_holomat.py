@@ -459,9 +459,23 @@ class TestRank:
             assert nrank_sampled(FixedSamples(mats)) == loop_nrank(mats)
 
     def test_no_evidence_raises(self):
-        bad = np.diag([8.9e3, 4.5e-4]).astype(complex)
+        # nearly singular whatever the row and column scaling: singular
+        # value ratio about 2.5e-10, in the ambiguity band
+        bad = np.array([[1, 1], [1, 1 + 1e-9]], dtype=complex)
         with pytest.raises(AmbiguousRankError):
             nrank_sampled(FixedSamples([bad] * 16))
+
+    def test_badly_scaled_sample_has_full_rank(self):
+        # singular value ratio 5e-8 before equilibration, 1 after
+        diag = np.diag([8.9e3, 4.5e-4]).astype(complex)
+        assert nrank_sampled(FixedSamples([diag] * 16)) == 2
+        # scaled rows and columns of a rank-1 sample stay rank 1
+        outer = np.outer([1e4, 2e-4], [3e-3, 5e5]).astype(complex)
+        assert nrank_sampled(FixedSamples([outer] * 16)) == 1
+        # zero rows and columns keep their zeros
+        empty = np.zeros((3, 2), dtype=complex)
+        empty[0, 0] = 7e-6
+        assert nrank_sampled(FixedSamples([empty] * 16)) == 1
 
 
 class TestRegionalCoprime:

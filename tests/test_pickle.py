@@ -3,8 +3,10 @@ import pickle
 
 import pytest
 
+from meromat import polymat, ratmat
 from meromat.exactalg import QQ, GaussRat, Poly, RatFn
 from meromat.holomat import QuasiPolyEntry, QuasiPolyMat
+from meromat.linalg_exact import DenseMat
 from meromat.polymat import PolyMat
 from meromat.ratmat import Divisor, RatMat, RootHandle
 from meromat.sysmat import Amd
@@ -36,3 +38,25 @@ def test_pickle_and_deepcopy_round_trip(obj):
         assert copied == obj
         if isinstance(obj, PolyMat):
             assert copied.shape == obj.shape
+
+
+MATRICES = [name for name, obj in OBJECTS.items() if isinstance(obj, DenseMat)]
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_kept_forms_are_not_copied(name):
+    obj = OBJECTS[name]
+    m = type(obj)(obj.entries, obj.cols)
+    before = pickle.dumps(m)
+    m.eval_many([0.5j])
+    m.eval_pair_many([1.5])
+    if isinstance(m, PolyMat):
+        polymat.smith_form(m)
+        polymat.nrank(m)
+    if isinstance(m, RatMat):
+        ratmat.smith_mcmillan(m)
+    assert m._kept
+    assert pickle.dumps(m) == before
+    for copied in (pickle.loads(before), copy.deepcopy(m)):
+        assert copied == m and hash(copied) == hash(m)
+        assert copied._kept is None

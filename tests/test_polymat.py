@@ -1,13 +1,16 @@
 import inspect
+import itertools
 import random
 
 import pytest
 
 from genutil import (
+    fresh,
     minor_gcd,
     rand_polymat,
     rand_regular_polymat,
     rand_unimodular,
+    record_calls,
 )
 from meromat import linalg_exact, polymat
 from meromat.errors import (
@@ -387,3 +390,74 @@ class TestQuotient:
                 polymat.right_quotient(c, s)
             with pytest.raises(SingularMatrixError):
                 polymat.left_quotient(c.transpose(), s.transpose())
+
+
+ECHELON_QUERIES = {
+    "hermite_form": hermite_form,
+    "det": polymat.det,
+    "nrank": polymat.nrank,
+    "is_unimodular": polymat.is_unimodular,
+    "inverse_unimodular": polymat.inverse_unimodular,
+}
+
+
+def answer(query, a):
+    """The query's value, or the type of the error it raises."""
+    try:
+        return query(a)
+    except SingularMatrixError as exc:
+        return type(exc)
+
+
+class TestKeptForms:
+    def test_echelon_queries_share_one_reduction(self, monkeypatch):
+        rng = random.Random(16)
+        # unimodular, regular and singular: the two last make
+        # inverse_unimodular, and the last hermite_form, raise
+        cases = [rand_unimodular(rng, 3), rand_polymat(rng, 3, 3, 2),
+                 rand_polymat(rng, 3, 1, 1) @ rand_polymat(rng, 1, 3, 1)]
+        for a in cases:
+            expect = {name: answer(q, fresh(a))
+                      for name, q in ECHELON_QUERIES.items()}
+            seen = record_calls(monkeypatch, polymat, "_echelon")
+            for order in itertools.permutations(ECHELON_QUERIES):
+                b = fresh(a)
+                seen.clear()
+                for name in order:
+                    assert answer(ECHELON_QUERIES[name], b) == expect[name]
+                assert len(seen) == 1 and seen[0] is b
+            monkeypatch.undo()
+        assert expect["hermite_form"] is SingularMatrixError
+
+    def test_smith_form_is_kept(self, monkeypatch):
+        a = rand_polymat(random.Random(17), 3, 4, 2)
+        seen = record_calls(monkeypatch, polymat, "_smith")
+        dec = smith_form(a)
+        assert smith_form(a) is dec
+        assert len(seen) == 1 and seen[0] is a
+
+    def test_equal_matrices_reduce_separately(self, monkeypatch):
+        a = fresh(rand_regular_polymat(random.Random(18), 3, 2))
+        b = fresh(a)
+        assert a == b and hash(a) == hash(b)
+        echelons = record_calls(monkeypatch, polymat, "_echelon")
+        smiths = record_calls(monkeypatch, polymat, "_smith")
+        for m in (a, b, a, b):
+            polymat.det(m)
+            smith_form(m)
+        assert [id(m) for m in echelons] == [id(a), id(b)]
+        assert [id(m) for m in smiths] == [id(a), id(b)]
+        assert smith_form(a) == smith_form(b)
+        assert smith_form(a) is not smith_form(b)
+
+    def test_kept_forms_equal_fresh_ones(self):
+        for a in echelon_cases():
+            queries = [polymat.nrank, smith_form]
+            if a.rows == a.cols:
+                queries += [polymat.det, polymat.is_unimodular]
+            for q in queries:
+                kept = q(a)
+                assert q(a) == kept == q(fresh(a))
+            kept = a._keep("echelon", polymat._echelon)
+            assert kept is a._keep("echelon", polymat._echelon)
+            assert kept == polymat._echelon(fresh(a))

@@ -4,10 +4,12 @@ import pytest
 
 from genutil import (
     fracs,
+    fresh,
     local_exponent_oracle,
     rand_qpoly,
     rand_ratmat,
     rand_unimodular,
+    record_calls,
 )
 from meromat import polymat, ratmat
 from meromat.errors import InputError, NotCoprimeError
@@ -264,6 +266,48 @@ class TestLeastOrder:
     def test_total(self):
         m = RatMat([[RatFn(ONE, Z * Z)]])
         assert least_order_total(m) == 2
+
+
+def structure(m):
+    """Every answer read from the Smith-McMillan form of m."""
+    return (smith_mcmillan(m), least_order(m), least_order_total(m),
+            mcmillan_degree(m), pole_zero_index(m, 0).values,
+            zero_index(m, 1).values, pole_index(m, -1).values,
+            right_coprime_mfd(m))
+
+
+class TestKeptForms:
+    def test_queries_share_one_form(self, monkeypatch):
+        rng = random.Random(27)
+        for rows, cols in ((2, 2), (2, 3), (3, 1)):
+            m = rand_ratmat(rng, rows, cols)
+            expect = structure(fresh(m))
+            seen = record_calls(monkeypatch, ratmat, "_smith_mcmillan")
+            dec = smith_mcmillan(m)
+            assert smith_mcmillan(m) is dec
+            assert structure(m) == expect
+            assert sum(x is m for x in seen) == 1
+            monkeypatch.undo()
+
+    def test_second_mfd_reduces_only_its_stack(self, monkeypatch):
+        m = rand_ratmat(random.Random(28), 2, 2)
+        first = right_coprime_mfd(m)
+        seen = record_calls(monkeypatch, polymat, "_echelon")
+        # the form of m and the echelon of its F are kept; only the fresh
+        # stack [N; D] of the coprimeness check is reduced again
+        assert right_coprime_mfd(m) == first
+        assert len(seen) == 1 and seen[0] == first.N.vstack(first.D)
+
+    def test_equal_matrices_build_separately(self, monkeypatch):
+        m = rand_ratmat(random.Random(29), 2, 2)
+        twin = fresh(m)
+        assert twin == m and hash(twin) == hash(m)
+        seen = record_calls(monkeypatch, ratmat, "_smith_mcmillan")
+        for x in (m, twin, m, twin):
+            least_order(x)
+        assert [id(x) for x in seen] == [id(m), id(twin)]
+        assert smith_mcmillan(m) == smith_mcmillan(twin)
+        assert smith_mcmillan(m) is not smith_mcmillan(twin)
 
 
 def _sym(p, z):
