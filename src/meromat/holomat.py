@@ -791,7 +791,10 @@ def local_indices(M, point, kmax: int = 12, pole_order: int | None = None,
 
 def _default_pole_order(M, lam: complex) -> int:
     """For a RatMat, the largest multiplicity in an entry denominator of
-    the rational point nearest lam (denominators up to 10^12); else 0."""
+    the rational point nearest lam (denominators up to 10^12); else 0.
+    A denominator that does not vanish there but is numerically zero at
+    lam has a root there that no rational point names, so the pole order
+    must be given: that raises InputError."""
     if not isinstance(M, RatMat):
         return 0
     re = Fraction(lam.real).limit_denominator(10 ** 12)
@@ -799,8 +802,26 @@ def _default_pole_order(M, lam: complex) -> int:
     ex = GaussRat(QQ(re.numerator, re.denominator),
                   QQ(im.numerator, im.denominator))
     dens = {e.den for row in M.entries for e in row if not e.den.is_constant}
-    return max((p.multiplicity_at(ex) for p in dens
-                if not p.eval_exact(ex)), default=0)
+    order = 0
+    for p in dens:
+        if not p.eval_exact(ex):
+            order = max(order, p.multiplicity_at(ex))
+        elif _numerically_zero(p, lam):
+            raise InputError(
+                f"an entry denominator is numerically zero at {lam} but "
+                "vanishes at no nearby rational point; give pole_order")
+    return order
+
+
+def _numerically_zero(p: Poly, lam: complex) -> bool:
+    """|p(lam)| at most 1e-8 (about the square root of the unit roundoff)
+    times the sum of |c_k| |lam|^k, both in one Horner pass."""
+    val, size, r = 0j, 0.0, abs(lam)
+    for x in reversed(p.nums):
+        c = x / p.den
+        val = val * lam + c
+        size = size * r + abs(c)
+    return abs(val) <= 1e-8 * size
 
 
 # ---------------------------------------------------------------------------

@@ -162,111 +162,81 @@ def inverse_unimodular(A: PolyMat) -> PolyMat:
     return u
 
 
-def _pick_pivot(s, k, rows, cols):
-    best = None
-    for i in range(k, rows):
-        for j in range(k, cols):
-            e = s[i][j]
-            if e.is_zero:
-                continue
-            if best is None or e.degree < best[0]:
-                best = (e.degree, i, j)
-    return best
-
-
 def smith_form(A: PolyMat) -> SmithDecomposition:
     """Diagonalize A = E @ S @ F by elementary row/column operations.
 
-    Pivots are chosen as a nonzero entry of minimal degree (ties broken by
-    lowest row, then column); invariant factors come out monic and satisfy
-    the divisibility chain. The decomposition is kept on A.
+    Row and column triangularisation passes alternate until S is diagonal
+    (Kannan & Bachem, SIAM J. Comput. 8, 1979); each pass takes its
+    pivots by Euclid down one column at a time, the entry of least degree
+    first. Where d_i does not divide d_i+1, row i+1 is added to row i and
+    the passes resume. Invariant factors come out monic and satisfy the
+    divisibility chain. The decomposition is kept on A.
     """
     return A._keep("smith", _smith)
+
+
+def _sub(a, t, i, k, q):
+    """Row i of a -= q * row k; row k of t += q * row i. With a = S and t
+    = E^T that is the row operation on S and its inverse on E; with a =
+    S^T and t = F, the column operation and its inverse on F."""
+    a[i] = [x if y.is_zero else x - q * y for x, y in zip(a[i], a[k])]
+    t[k] = [x if y.is_zero else x + q * y for x, y in zip(t[k], t[i])]
+
+
+def _triangularise(a, t):
+    """Row echelon form of a in place, without reduction above the
+    pivots; `_sub` carries every row operation over to t."""
+    k = 0
+    for j in range(len(a[0]) if a else 0):
+        rest = [i for i in range(k, len(a)) if not a[i][j].is_zero]
+        while rest:
+            piv = min(rest, key=lambda i: (a[i][j].degree, i))
+            a[k], a[piv] = a[piv], a[k]
+            t[k], t[piv] = t[piv], t[k]
+            for i in range(k + 1, len(a)):
+                if not a[i][j].is_zero:
+                    _sub(a, t, i, k, a[i][j] // a[k][j])
+            rest = [i for i in range(k + 1, len(a)) if not a[i][j].is_zero]
+        if not a[k][j].is_zero:
+            k += 1
+        if k == len(a):
+            break
 
 
 def _smith(A: PolyMat) -> SmithDecomposition:
     """The elimination of `smith_form`, uncached."""
     m, n = A.rows, A.cols
     s = [list(row) for row in A.entries]
-    e = [list(row) for row in PolyMat.identity(m).entries]
+    et = [list(row) for row in PolyMat.identity(m).entries]  # E transposed
     f = [list(row) for row in PolyMat.identity(n).entries]
 
-    # Maintain A = E @ S @ F: each op on S updates E or F with its inverse.
-    def row_sub(i, j, q):  # S: row_i -= q*row_j ; E: col_j += q*col_i
-        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
-        for t in range(m):
-            e[t][j] = e[t][j] + q * e[t][i]
+    def diagonal():
+        return all(x.is_zero for i, row in enumerate(s)
+                   for j, x in enumerate(row) if i != j)
 
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        for t in range(m):
-            e[t][i], e[t][j] = e[t][j], e[t][i]
-
-    def col_sub(j, i, q):  # S: col_j -= q*col_i ; F: row_i += q*row_j
-        for t in range(m):
-            s[t][j] = s[t][j] - q * s[t][i]
-        f[i] = [a + q * b for a, b in zip(f[i], f[j])]
-
-    def col_swap(i, j):
-        for t in range(m):
-            s[t][i], s[t][j] = s[t][j], s[t][i]
-        f[i], f[j] = f[j], f[i]
-
-    def row_scale(i, c):  # S: row_i *= c ; E: col_i /= c
-        s[i] = [a.scale(c) for a in s[i]]
-        inv = 1 / c
-        for t in range(m):
-            e[t][i] = e[t][i].scale(inv)
-
-    k = 0
-    while k < min(m, n):
-        if _pick_pivot(s, k, m, n) is None:
-            break
-        while True:
-            deg, pi, pj = _pick_pivot(s, k, m, n)
-            if pi != k:
-                row_swap(k, pi)
-            if pj != k:
-                col_swap(k, pj)
-            dirty = False
-            for i in range(k + 1, m):
-                if not s[i][k].is_zero:
-                    q, r = divmod(s[i][k], s[k][k])
-                    row_sub(i, k, q)
-                    if not r.is_zero:
-                        dirty = True
-            for j in range(k + 1, n):
-                if not s[k][j].is_zero:
-                    q, r = divmod(s[k][j], s[k][k])
-                    col_sub(j, k, q)
-                    if not r.is_zero:
-                        dirty = True
-            if dirty:
+    while True:
+        _triangularise(s, et)
+        if not diagonal():
+            st = [[s[i][j] for i in range(m)] for j in range(n)]
+            _triangularise(st, f)
+            s = [[st[j][i] for j in range(n)] for i in range(m)]
+            if not diagonal():
                 continue
-            # pivot now divides its row and column residues are zero;
-            # enforce divisibility of the trailing submatrix
-            witness = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if not (s[i][j] % s[k][k]).is_zero:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
-            if witness is None:
-                break
-            s[k] = [a + b for a, b in zip(s[k], s[witness])]
-            for t in range(m):
-                e[t][witness] = e[t][witness] - e[t][k]
-        lead = s[k][k].leading().re
-        if lead != 1:
-            row_scale(k, 1 / lead)
-        k += 1
-
-    factors = tuple(s[j][j] for j in range(k))
+        d = [s[k][k] for k in range(min(m, n)) if not s[k][k].is_zero]
+        bad = next((i for i in range(len(d) - 1)
+                    if not d[i].divides(d[i + 1])), None)
+        if bad is None:
+            break
+        _sub(s, et, bad, bad + 1, Poly.const(-1))
+    for k, p in enumerate(d):
+        lead = p.leading().re
+        s[k] = [x.scale(1 / lead) for x in s[k]]
+        et[k] = [x.scale(lead) for x in et[k]]
+    e = [[et[j][i] for j in range(m)] for i in range(m)]
     return SmithDecomposition(
-        E=PolyMat(e), S=PolyMat(s), F=PolyMat(f),
-        invariant_factors=factors, nrank=k,
+        E=PolyMat(e, m), S=PolyMat(s, n), F=PolyMat(f, n),
+        invariant_factors=tuple(s[k][k] for k in range(len(d))),
+        nrank=len(d),
     )
 
 
@@ -282,21 +252,43 @@ def hermite_form(D: PolyMat) -> tuple[PolyMat, PolyMat]:
     return h, u
 
 
+def _right_divide(C: PolyMat, D: PolyMat):
+    """Q with C = Q @ D for D upper triangular with monic diagonal, solved
+    entry by entry along each row of C; None if a division leaves a
+    remainder, in which case no polynomial Q exists."""
+    d, rows = D.entries, []
+    for c in C.entries:
+        q = []
+        for j in range(D.cols):
+            acc = c[j]
+            for i in range(j):
+                acc = acc - q[i] * d[i][j]
+            qj, r = divmod(acc, d[j][j])
+            if not r.is_zero:
+                return None
+            q.append(qj)
+        rows.append(q)
+    return PolyMat(rows, D.cols)
+
+
 def gcrd(A: PolyMat, B: PolyMat) -> GcrdResult:
     """Greatest common right divisor of A and B, in Hermite form, from one
     row reduction U @ [A; B] = [D; 0]: X and Y are the top rows of U, and
-    Q1 and Q2 the leading columns of U^-1."""
+    Q1 and Q2 solve [A; B] = [Q1; Q2] @ D by division along the rows."""
     if A.cols != B.cols:
         raise InputError("gcrd: column counts differ")
     n, m = A.cols, A.rows
-    h, u, pivots, _ = A.vstack(B)._keep("echelon", _echelon)
+    stacked = A.vstack(B)
+    h, u, pivots, _ = stacked._keep("echelon", _echelon)
     if len(pivots) < n:
         raise RankDeficientError(
             f"gcrd undefined: [A; B] has normal rank {len(pivots)} < {n}")
-    q, top = inverse_unimodular(u), slice(0, n)
-    return GcrdResult(D=h.submatrix(top, slice(None)),
-                      Q1=q.submatrix(slice(0, m), top),
-                      Q2=q.submatrix(slice(m, None), top),
+    top = slice(0, n)
+    d = h.submatrix(top, slice(None))
+    q = _right_divide(stacked, d)
+    return GcrdResult(D=d,
+                      Q1=q.submatrix(slice(0, m), slice(None)),
+                      Q2=q.submatrix(slice(m, None), slice(None)),
                       X=u.submatrix(top, slice(0, m)),
                       Y=u.submatrix(top, slice(m, None)))
 
@@ -365,7 +357,7 @@ def solve_bezout(A: PolyMat, B: PolyMat, C: PolyMat):
     if not (A.cols == B.cols == C.cols):
         raise InputError("bezout: column counts differ")
     res = gcrd(A, B)
-    quotient = right_quotient(C, res.D)
+    quotient = _right_divide(C, res.D)
     if quotient is None:
         raise NoSolutionError("gcrd of (A, B) does not right-divide C",
                               gcrd=res.D)
@@ -374,17 +366,14 @@ def solve_bezout(A: PolyMat, B: PolyMat, C: PolyMat):
 
 def right_quotient(C: PolyMat, D: PolyMat):
     """R with C = R @ D if one exists over the polynomials, else None: with
-    D = Q1 @ G and C = Q2 @ G for G = gcrd(D, C), it exists iff Q1 is
-    unimodular, and then R = Q2 @ Q1^-1."""
-    if D.rows != D.cols:
-        raise InputError("right_quotient: divisor must be square")
-    try:
-        res = gcrd(D, C)
-    except RankDeficientError:
-        raise SingularMatrixError("quotient by a singular matrix") from None
-    # raises SingularMatrixError when Q1, and so D, is singular
-    h, q1_inv = hermite_form(res.Q1)
-    return res.Q2 @ q1_inv if h == PolyMat.identity(D.rows) else None
+    H = U @ D the Hermite form of D, R = (C @ H^-1) @ U, and C @ H^-1 is
+    polynomial iff R is."""
+    if not C.cols == D.cols == D.rows:
+        raise InputError("right_quotient: D must be square, with as many "
+                         "columns as C")
+    h, u = hermite_form(D)  # SingularMatrixError when D is singular
+    x = _right_divide(C, h)
+    return None if x is None else x @ u
 
 
 def left_quotient(C: PolyMat, D: PolyMat):

@@ -321,7 +321,7 @@ def smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
 
 def _smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     d = M.denominator_lcm()
-    cleared = PolyMat([[(e * RatFn(d)).to_poly() for e in row]
+    cleared = PolyMat([[e.num * d.exact_div(e.den) for e in row]
                        for row in M.entries])
     dec = polymat.smith_form(cleared)
     phis, psis = [], []

@@ -631,6 +631,22 @@ class TestDefaultPoleOrder:
         assert holomat._default_pole_order(RatMat([[RatFn(ONE, Z ** 3)]]),
                                            0j) == 3
 
+    def test_irrational_pole_needs_an_order(self):
+        m = RatMat([[RatFn(ONE, Z * Z - 2)]])
+        # no rational point near sqrt(2) is a root of z^2 - 2, so the
+        # order would read 0; the numeric zero of the denominator refuses
+        for lam in (2 ** 0.5, -(2 ** 0.5)):
+            with pytest.raises(InputError, match="pole_order"):
+                local_indices(m, lam)
+        assert local_indices(m, 2 ** 0.5, pole_order=1).values == (-1,)
+        # a rational pole of another entry does not hide the irrational one
+        both = RatMat([[RatFn(ONE, Z * Z - 2), RatFn(ONE, Z - 1)]])
+        with pytest.raises(InputError):
+            holomat._default_pole_order(both, 2 ** 0.5)
+        assert holomat._default_pole_order(both, 1 + 0j) == 1
+        # near, but not at, a root is no pole
+        assert holomat._default_pole_order(m, 1.5 + 0j) == 0
+
 
 # ---------------------------------------------------------------------------
 # the batched quadrature and the pair evaluation against the formulas they

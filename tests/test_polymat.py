@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import time
 
 import pytest
 
@@ -154,6 +155,53 @@ class TestSmith:
                 assert minor_gcd(a, k) == prod.monic()
 
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_against_sympy(self, n):
+        """Square, rectangular and rank-deficient (L @ R through a thin
+        middle factor) inputs of degree 1..3: the decomposition holds and
+        the invariant factors are sympy's, made monic."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.matrices.normalforms import invariant_factors
+
+        z = sympy.Symbol("z")
+        ring = sympy.QQ[z]
+
+        def to_ring(p):
+            return ring.from_sympy(sum(
+                sympy.Rational(c.re.numerator, c.re.denominator) * z ** k
+                for k, c in enumerate(p.coeffs)))
+
+        for deg in (1, 2, 3):
+            rng = random.Random(100 * n + deg)
+            cases = (rand_polymat(rng, n, n, deg),
+                     rand_polymat(rng, n, n - 1, deg),
+                     rand_polymat(rng, n, n // 2, 1)
+                     @ rand_polymat(rng, n // 2, n, deg - 1))
+            for a in cases:
+                dec = check_smith(a)
+                dm = DomainMatrix([[to_ring(e) for e in row]
+                                   for row in a.entries], a.shape, ring)
+                want = [f.monic() for f in invariant_factors(dm) if f]
+                assert [to_ring(f) for f in dec.invariant_factors] == want
+
+    def test_large_dense_matrix(self):
+        """A dense 6 x 6 matrix of degree 3 with coefficients in -9..9:
+        the transforms stay small and the form is quick."""
+        rng = random.Random(0)
+        a = PolyMat([[Poly([rng.randint(-9, 9) for _ in range(4)])
+                      for _ in range(6)] for _ in range(6)])
+        start = time.perf_counter()
+        dec = smith_form(a)
+        assert time.perf_counter() - start < 10
+        bits = max(x.bit_length() for m in (dec.E, dec.F)
+                   for row in m.entries for p in row
+                   for x in p.nums + (p.den,))
+        assert bits < 4000
+        assert dec.E @ dec.S @ dec.F == a
+        assert dec.invariant_factors[-1] == polymat.det(a).monic()
+
+
 class TestHermite:
     def test_canonical_shape(self):
         rng = random.Random(7)
@@ -282,6 +330,23 @@ class TestGcrd:
         with pytest.raises(RankDeficientError):
             gcrd(a, b)
 
+    def test_cofactors_by_division(self, monkeypatch):
+        """One row reduction, of [A; B] alone: the cofactors come from
+        dividing by D, not from inverting U, and equal U^-1's leading
+        columns."""
+        rng = random.Random(16)
+        for rows in (1, 2, 3):
+            a = rand_polymat(rng, rows, 2, 2)
+            b = rand_regular_polymat(rng, 2, 2)
+            stacked = a.vstack(b)
+            seen = record_calls(monkeypatch, polymat, "_echelon")
+            res = gcrd(a, b)
+            assert seen == [stacked]
+            monkeypatch.undo()
+            q = polymat.inverse_unimodular(polymat._echelon(stacked)[1])
+            assert res.Q1 == q.submatrix(slice(0, rows), slice(0, 2))
+            assert res.Q2 == q.submatrix(slice(rows, None), slice(0, 2))
+
     def test_gcld_duality(self):
         rng = random.Random(11)
         a = rand_regular_polymat(rng, 2, 2)
@@ -381,6 +446,21 @@ class TestQuotient:
                 ref = RatMat.from_polymat(d).inverse() @ RatMat.from_polymat(c)
             expect = ref.to_polymat() if ref.is_polynomial else None
             assert polymat.left_quotient(c, d) == expect
+
+    def test_one_reduction_of_the_divisor(self, monkeypatch):
+        """right_quotient reduces D once and divides by its Hermite form;
+        a remainder gives None."""
+        d = PolyMat([[Z, ONE], [ZERO, Z + ONE]])
+        seen = record_calls(monkeypatch, polymat, "_echelon")
+        r = PolyMat([[ONE, Z], [Z * Z, ZERO], [ONE, ONE]])
+        assert polymat.right_quotient(r @ d, d) == r
+        assert seen == [d]
+        # C D^-1 has the entry 1/z
+        assert polymat.right_quotient(PolyMat([[ONE, ZERO]]), d) is None
+        assert polymat.right_quotient(PolyMat.zeros(1, 2), d) \
+            == PolyMat.zeros(1, 2)
+        with pytest.raises(InputError):
+            polymat.right_quotient(PolyMat([[ONE]]), d)
 
     def test_singular_divisor_raises(self):
         s = PolyMat([[Z, Z], [ONE, ONE]])
