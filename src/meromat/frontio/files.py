@@ -31,6 +31,7 @@ __all__ = [
 
 _MATRIX_TYPES = {cls.kind: cls for cls in (PolyMat, RatMat, QuasiPolyMat)}
 _KINDS = tuple(_MATRIX_TYPES)
+_BLOCKS = ("tl", "tr", "bl", "br")
 _ALLOWED = {
     "polynomial": ("polynomial",),
     "rational": ("polynomial", "rational"),
@@ -78,7 +79,7 @@ class MatrixFile:
                           entries=M.entries, region=region)
 
     def matrix(self):
-        return _MATRIX_TYPES[self.kind](self.entries)
+        return _MATRIX_TYPES[self.kind](self.entries, self.cols)
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,18 @@ class AmdFile:
 
     def amd(self) -> Amd:
         wrap = QuasiPolyMat if self.ring == "quasipoly" else PolyMat
-        tl, tr, bl, br = (wrap(g) for g in self.blocks)
+        shapes = _block_shapes(self.layout, self.r, self.m, self.n)
+        tl, tr, bl, br = (wrap(g, shapes[name][1])
+                          for name, g in zip(_BLOCKS, self.blocks))
         return Amd.from_layout_blocks(tl, tr, bl, br, layout=self.layout,
                                       ring=self.ring)
+
+
+def _block_shapes(layout: str, r: int, m: int, n: int) -> dict:
+    """(rows, cols) of each literal block of an AMD written in a layout."""
+    if layout in ("flipped", "flipped-neg-b"):
+        return {"tl": (m, n), "tr": (m, r), "bl": (r, n), "br": (r, r)}
+    return {"tl": (r, r), "tr": (r, n), "bl": (m, r), "br": (m, n)}
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,7 @@ def _dump_matrix(mf: MatrixFile) -> str:
 def _dump_amd(af: AmdFile) -> str:
     lines = ["meromat/1 amd", f"ring {af.ring}",
              f"dims {af.r} {af.m} {af.n}", f"layout {af.layout}"]
-    for name, grid in zip(("tl", "tr", "bl", "br"), af.blocks):
+    for name, grid in zip(_BLOCKS, af.blocks):
         lines.append(f"block {name}")
         lines.extend(_rows_to_lines(grid))
     return "\n".join(lines) + "\n"
@@ -260,12 +270,9 @@ def _load_amd(lines: _Lines) -> AmdFile:
     layout = _expect_field(lines, "layout")
     if layout not in LAYOUTS:
         raise InputError(f"{lines.where}: unknown layout {layout!r}")
-    if layout in ("flipped", "flipped-neg-b"):
-        shapes = {"tl": (m, n), "tr": (m, r), "bl": (r, n), "br": (r, r)}
-    else:
-        shapes = {"tl": (r, r), "tr": (r, n), "bl": (m, r), "br": (m, n)}
+    shapes = _block_shapes(layout, r, m, n)
     blocks = []
-    for name in ("tl", "tr", "bl", "br"):
+    for name in _BLOCKS:
         tag = _expect_field(lines, "block")
         if tag != name:
             raise InputError(f"{lines.where}: expected 'block {name}'")

@@ -190,7 +190,8 @@ class QuasiPolyMat(DenseMat):
         return e.terms, None
 
     def to_polymat(self) -> PolyMat:
-        return PolyMat([[e.to_poly() for e in row] for row in self.entries])
+        return PolyMat([[e.to_poly() for e in row] for row in self.entries],
+                       self.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +272,12 @@ def as_evaluable(M):
     raise InputError(f"cannot evaluate object of type {type(M).__name__}")
 
 
-def qp_is_regular(A: QuasiPolyMat, samples: int = 8) -> bool:
-    """Sampled regularity test: det nonzero at some sample point."""
+def qp_is_regular(A: QuasiPolyMat) -> bool:
+    """Sampled regularity test: det nonzero at one of 8 sample points."""
     if A.rows != A.cols:
         return False
     rng = np.random.default_rng(20260823)
-    for _ in range(samples):
+    for _ in range(8):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         try:
             if abs(np.linalg.det(A.eval(z))) > 1e-12:
@@ -312,16 +313,13 @@ def _rank_of(svals, scale: float | None = None) -> int:
     return int(sum(1 for s in svals if s > _RANK_ZERO * ref))
 
 
-def nrank_sampled(M, samples: int = 16) -> int:
-    """Max numeric rank over deterministic pseudo-random sample points,
+def nrank_sampled(M) -> int:
+    """Max numeric rank over 16 deterministic pseudo-random sample points,
     skipping points that cannot be evaluated or ranked; AmbiguousRankError
     when none is left."""
-    if samples < 1:
-        raise InputError("need at least one sample point")
     ev = as_evaluable(M)
     rng = np.random.default_rng(715225741)
-    zs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-          for _ in range(samples)]
+    zs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(16)]
     try:
         mats = ev.eval_many(zs)
     except AnalysisError:  # skip only the points that cannot be evaluated
@@ -350,7 +348,7 @@ def nrank_sampled(M, samples: int = 16) -> int:
             ranks.append(_rank_of(row))
     if not ranks:
         raise AmbiguousRankError(
-            f"no rank at any of {samples} sample points")
+            "no rank at any of 16 sample points")
     return max(ranks)
 
 
@@ -688,8 +686,7 @@ def _split_box(ev, box: _Box, tol: float):
     raise ContourError("could not find a clean subdivision line")
 
 
-def roots_in_region(f, box, tol: float = 1e-8,
-                    min_cell: float | None = None) -> list:
+def roots_in_region(f, box, tol: float = 1e-8) -> list:
     """All zeros of det f inside the rectangle, with multiplicities.
 
     `box` is (x0, x1, y0, y1). The matrix must be regular and pole-free in
@@ -697,8 +694,7 @@ def roots_in_region(f, box, tol: float = 1e-8,
     """
     ev = as_evaluable(f)
     root_box = _Box(*[float(v) for v in box])
-    if min_cell is None:
-        min_cell = max(tol * 100, 1e-10)
+    min_cell = max(tol * 100, 1e-10)
     total = _count_in_box(ev, root_box, tol)
     if total < 0:
         raise InputError("region contains poles; root search needs a "
@@ -738,14 +734,14 @@ def _locate(ev, box: _Box, count: int, tol: float, min_cell: float, out):
 # local indices via block-Toeplitz ranks
 
 
-def local_indices(M, point, kmax: int = 12, pole_order: int | None = None,
-                  rank_hint: int | None = None,
-                  radius: float | None = None) -> IndexTuple:
+def local_indices(M, point, kmax: int = 12,
+                  pole_order: int | None = None) -> IndexTuple:
     """Pole-zero index of M at the point from numeric Taylor data.
 
     Multiplies by (z - point)^s to clear a pole of order s, Taylor-expands
-    on a small circle, and reads partial multiplicities off the rank
-    increments of nested block-Toeplitz coefficient matrices.
+    on the circle of radius 0.1 about the point, and reads partial
+    multiplicities off the rank increments of nested block-Toeplitz
+    coefficient matrices.
     """
     lam = complex(point)
     if pole_order is None:
@@ -753,18 +749,14 @@ def local_indices(M, point, kmax: int = 12, pole_order: int | None = None,
     s = int(pole_order)
     ev = as_evaluable(M)
     rows, cols = ev.shape
-    if rank_hint is None:
-        rank_hint = nrank_sampled(ev)
-    r = rank_hint
-    if radius is None:
-        radius = 0.1
+    r = nrank_sampled(ev)
     nsamp = 1 << max(8, (kmax + 1).bit_length() + 2)
     # coefficients of (rho w)^s N(lam + rho w) in w: same local exponents,
     # numerically balanced
     theta = 2 * math.pi * np.arange(nsamp) / nsamp
     ws = np.exp(1j * theta)
     # scalar powers: numpy's array power squares by another rounding
-    vals = (ev.eval_many(lam + radius * ws)
+    vals = (ev.eval_many(lam + 0.1 * ws)
             * np.array([w ** s for w in ws])[:, None, None])
     coeffs = np.fft.fft(vals, axis=0) / nsamp
     # rank thresholds are relative to the largest coefficient overall, so

@@ -87,37 +87,19 @@ class GcrdResult:
 
 
 def _echelon(M: PolyMat):
-    """Row Hermite echelon form H = U @ M, U unimodular, of any shape and rank.
-
-    Row k of H has a monic pivot in column pivots[k], zeros below it and
-    entries of lower degree above it; rows past the last pivot are zero.
-    Returns (H, U, pivots, det U), det U being a nonzero constant. Queries
-    read it kept on M, `M._keep("echelon", _echelon)`, and only len(pivots)."""
-    m = M.rows
+    """Row Hermite echelon form H = U @ M, U unimodular, of any shape and
+    rank: the Smith pass `_triangularise` carried forward onto U, then each
+    pivot row made monic and the entries above its pivot reduced. Row k of
+    H has a monic pivot in column pivots[k], zeros below it and entries of
+    lower degree above it; rows past the last pivot are zero. Returns (H,
+    U, pivots, det U), det U a nonzero constant, kept on M as
+    `M._keep("echelon", _echelon)`."""
     h = [list(row) for row in M.entries]
-    u = [list(row) for row in PolyMat.identity(m).entries]
-    pivots, det_u = [], QQ(1)
-
-    def row_sub(i, j, q):
-        h[i] = [a - q * b for a, b in zip(h[i], h[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    for j in range(M.cols):
-        k = len(pivots)
-        rest = [i for i in range(k, m) if not h[i][j].is_zero]
-        if not rest:
-            continue
-        # Euclid down the column until row k holds its only nonzero entry
-        while rest:
-            piv = min(rest, key=lambda i: (h[i][j].degree, i))
-            if piv != k:
-                h[k], h[piv] = h[piv], h[k]
-                u[k], u[piv] = u[piv], u[k]
-                det_u = -det_u
-            for i in range(k + 1, m):
-                if not h[i][j].is_zero:
-                    row_sub(i, k, h[i][j] // h[k][j])
-            rest = [i for i in range(k + 1, m) if not h[i][j].is_zero]
+    u = [list(row) for row in PolyMat.identity(M.rows).entries]
+    det_u = QQ(-1 if _triangularise(h, u, _fwd) % 2 else 1)
+    pivots = [next(j for j, x in enumerate(row) if not x.is_zero)
+              for row in h if not all(x.is_zero for x in row)]
+    for k, j in enumerate(pivots):
         if not h[k][j].is_monic:
             inv = 1 / h[k][j].leading().re
             h[k] = [a.scale(inv) for a in h[k]]
@@ -125,8 +107,7 @@ def _echelon(M: PolyMat):
             det_u = det_u * inv
         for i in range(k):
             if h[i][j].degree >= h[k][j].degree:
-                row_sub(i, k, h[i][j] // h[k][j])
-        pivots.append(j)
+                _fwd(h, u, i, k, h[i][j] // h[k][j])
     return PolyMat(h, M.cols), PolyMat(u), pivots, det_u
 
 
@@ -183,24 +164,35 @@ def _sub(a, t, i, k, q):
     t[k] = [x if y.is_zero else x + q * y for x, y in zip(t[k], t[i])]
 
 
-def _triangularise(a, t):
-    """Row echelon form of a in place, without reduction above the
-    pivots; `_sub` carries every row operation over to t."""
-    k = 0
+def _fwd(a, t, i, k, q):
+    """Row i of a -= q * row k, and the same row operation on t = U."""
+    a[i] = [x if y.is_zero else x - q * y for x, y in zip(a[i], a[k])]
+    t[i] = [x if y.is_zero else x - q * y for x, y in zip(t[i], t[k])]
+
+
+def _triangularise(a, t, step):
+    """Row echelon form of a in place, without reduction above the pivots.
+    `step(a, t, i, k, q)` takes q times row k of a from row i and carries
+    that over to t, as its inverse (`_sub`, Smith) or as itself (`_fwd`,
+    echelon); swaps move rows of a and t together. Returns their number."""
+    k = swaps = 0
     for j in range(len(a[0]) if a else 0):
         rest = [i for i in range(k, len(a)) if not a[i][j].is_zero]
         while rest:
             piv = min(rest, key=lambda i: (a[i][j].degree, i))
-            a[k], a[piv] = a[piv], a[k]
-            t[k], t[piv] = t[piv], t[k]
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                t[k], t[piv] = t[piv], t[k]
+                swaps += 1
             for i in range(k + 1, len(a)):
                 if not a[i][j].is_zero:
-                    _sub(a, t, i, k, a[i][j] // a[k][j])
+                    step(a, t, i, k, a[i][j] // a[k][j])
             rest = [i for i in range(k + 1, len(a)) if not a[i][j].is_zero]
         if not a[k][j].is_zero:
             k += 1
         if k == len(a):
             break
+    return swaps
 
 
 def _smith(A: PolyMat) -> SmithDecomposition:
@@ -215,10 +207,10 @@ def _smith(A: PolyMat) -> SmithDecomposition:
                    for j, x in enumerate(row) if i != j)
 
     while True:
-        _triangularise(s, et)
+        _triangularise(s, et, _sub)
         if not diagonal():
             st = [[s[i][j] for i in range(m)] for j in range(n)]
-            _triangularise(st, f)
+            _triangularise(st, f, _sub)
             s = [[st[j][i] for j in range(n)] for i in range(m)]
             if not diagonal():
                 continue
@@ -334,21 +326,25 @@ def are_left_coprime(A: PolyMat, B: PolyMat):
     return True, BezoutCertificate(cert.X.transpose(), cert.Y.transpose())
 
 
-def coprime_completion(A: PolyMat, B: PolyMat) -> tuple[PolyMat, PolyMat]:
-    """Blocks C, D such that [[A, C], [B, D]] is unimodular, for right
-    coprime A (m x n) and B (p x n)."""
+def _coprime_echelon(A: PolyMat, B: PolyMat):
+    """U and W = U^-1 for right coprime A and B, U @ [A; B] = [I; 0] being
+    the kept echelon of the stack; NotCoprimeError for any other pair."""
     if A.cols != B.cols:
         raise InputError("completion: column counts differ")
-    n = A.cols
-    m, p = A.rows, B.rows
-    dec = smith_form(A.vstack(B))
-    if dec.nrank < n or any(not f.is_constant for f in dec.invariant_factors):
+    h, u, _, _ = A.vstack(B)._keep("echelon", _echelon)
+    if h.submatrix(slice(0, A.cols), slice(None)) != PolyMat.identity(A.cols):
         raise NotCoprimeError("inputs are not right coprime")
-    # stacked = E @ [F; 0]; appending the last m+p-n columns of E yields
-    # E @ [[F, 0], [0, I]] which is unimodular
-    tail = dec.E.submatrix(slice(None), slice(n, None))
-    return (tail.submatrix(slice(0, m), slice(None)),
-            tail.submatrix(slice(m, None), slice(None)))
+    return u, inverse_unimodular(u)
+
+
+def coprime_completion(A: PolyMat, B: PolyMat) -> tuple[PolyMat, PolyMat]:
+    """Blocks C, D such that [[A, C], [B, D]] is unimodular, for right
+    coprime A (m x n) and B (p x n): the last m+p-n columns of W = U^-1,
+    whose first n columns are W @ [I; 0] = [A; B]."""
+    _, w = _coprime_echelon(A, B)
+    tail = w.submatrix(slice(None), slice(A.cols, None))
+    return (tail.submatrix(slice(0, A.rows), slice(None)),
+            tail.submatrix(slice(A.rows, None), slice(None)))
 
 
 def solve_bezout(A: PolyMat, B: PolyMat, C: PolyMat):

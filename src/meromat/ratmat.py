@@ -62,7 +62,8 @@ class RatMat(linalg_exact.DenseMat):
         return all(e.is_polynomial for row in self.entries for e in row)
 
     def to_polymat(self) -> PolyMat:
-        return PolyMat([[e.to_poly() for e in row] for row in self.entries])
+        return PolyMat([[e.to_poly() for e in row] for row in self.entries],
+                       self.cols)
 
     def nrank(self) -> int:
         return linalg_exact.rank(self.entries)
@@ -165,8 +166,7 @@ def poly_roots(p: Poly) -> list[tuple[RootHandle, int]]:
         # peel off exact rational roots first
         import numpy as np
 
-        roots = np.roots([c.to_complex() for c in reversed(rem.coeffs)])
-        for z in roots:
+        for z in np.roots([x / rem.den for x in reversed(rem.nums)]):
             if rem.is_constant:
                 break
             ex = _rationalize(complex(z), rem)
@@ -177,7 +177,7 @@ def poly_roots(p: Poly) -> list[tuple[RootHandle, int]]:
                 out.append((RootHandle(exact=GaussRat(ex.re, -ex.im)), k))
             rem = rem.exact_div(real_factor(ex))
         if not rem.is_constant:
-            for z in np.roots([c.to_complex() for c in reversed(rem.coeffs)]):
+            for z in np.roots([x / rem.den for x in reversed(rem.nums)]):
                 out.append((RootHandle(approx=complex(z), factor=rem), k))
     return out
 
@@ -292,7 +292,7 @@ class SmithMcMillanDecomposition:
         grid = [[RatFn(0)] * cols for _ in range(rows)]
         for j in range(self.nrank):
             grid[j][j] = RatFn(self.zero_factors[j], self.pole_factors[j])
-        return RatMat(grid)
+        return RatMat(grid, cols)
 
     @property
     def phi_total(self) -> Poly:
@@ -319,11 +319,15 @@ def smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     return M._keep("smith_mcmillan", _smith_mcmillan)
 
 
+def _cleared(M: RatMat, d: Poly) -> PolyMat:
+    """d @ M, polynomial for a common denominator d of the entries."""
+    return PolyMat([[e.num * d.exact_div(e.den) for e in row]
+                    for row in M.entries], M.cols)
+
+
 def _smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     d = M.denominator_lcm()
-    cleared = PolyMat([[e.num * d.exact_div(e.den) for e in row]
-                       for row in M.entries])
-    dec = polymat.smith_form(cleared)
+    dec = polymat.smith_form(_cleared(M, d))
     phis, psis = [], []
     for s in dec.invariant_factors:
         f = RatFn(s, d)
@@ -407,16 +411,14 @@ class Mfd:
 
 
 def right_coprime_mfd(M: RatMat) -> Mfd:
-    """Right coprime MFD from the Smith-McMillan form: N = E @ (diag φ ⊕ 0),
-    D = F^{-1} @ (diag ψ ⊕ I)."""
-    dec = smith_mcmillan(M)
-    r = dec.nrank
-    n_phi = PolyMat.diag(dec.zero_factors, rows=M.rows, cols=M.cols)
-    d_psi = PolyMat.diag(list(dec.pole_factors) + [_P_ONE] * (M.cols - r))
-    n = dec.E @ n_phi
-    d = polymat.inverse_unimodular(dec.F) @ d_psi
-    ok, _ = polymat.are_right_coprime(n, d)
-    return Mfd(N=n, D=d, side="right", coprime=ok)
+    """Right coprime MFD by removing a gcrd (Kailath 1980, §6.3): with d
+    the least common denominator and G = gcrd(d M, d I), [d M; d I] =
+    [N; D] @ G, so M = N @ D^{-1}; `coprime` is the Bezout check X @ N +
+    Y @ D = I, from the certificate X @ d M + Y @ d I = G of the gcrd."""
+    d = M.denominator_lcm()
+    g = polymat.gcrd(_cleared(M, d), PolyMat.diag([d] * M.cols))
+    coprime = g.X @ g.Q1 + g.Y @ g.Q2 == PolyMat.identity(M.cols)
+    return Mfd(N=g.Q1, D=g.Q2, side="right", coprime=coprime)
 
 
 def left_coprime_mfd(M: RatMat) -> Mfd:
@@ -464,7 +466,7 @@ def _substitute_reciprocal(P: RatMat) -> RatMat:
             d = max(e.num.degree, e.den.degree, 0)
             new.append(RatFn(e.num.reverse(d), e.den.reverse(d)))
         out.append(new)
-    return RatMat(out)
+    return RatMat(out, P.cols)
 
 
 def mcmillan_degree(M: RatMat) -> int:
@@ -479,6 +481,6 @@ def mcmillan_degree(M: RatMat) -> int:
             sp_row.append(rem)
         p_grid.append(p_row)
         sp_grid.append(sp_row)
-    finite = least_order_total(RatMat(sp_grid))
-    at_infinity = least_order(_substitute_reciprocal(RatMat(p_grid)))
+    finite = least_order_total(RatMat(sp_grid, M.cols))
+    at_infinity = least_order(_substitute_reciprocal(RatMat(p_grid, M.cols)))
     return finite + at_infinity.zeros.multiplicity_at(0)

@@ -310,12 +310,13 @@ def _rmf(H: Amd):
     H ~ S and S ~ H."""
     a, b, c, d = H.A, H.B, H.C, H.D
     r, n = H.state_dim, H.input_dim
-    # complete [A B] to a unimodular T = [[A, B], [-N, -Y]]; raises
-    # NotCoprimeError unless A, B are left coprime
-    c1, c2 = polymat.coprime_completion(a.transpose(), b.transpose())
-    n_blk, y_blk = -c1.transpose(), -c2.transpose()
-    t = PolyMat.block([[a, b], [-n_blk, -y_blk]])
-    t_inv = polymat.inverse_unimodular(t)
+    # U [A^T; B^T] = [I; 0] from the kept echelon; T = (U^-1)^T is then a
+    # unimodular [[A, B], [-N, -Y]] and T^-1 = U^T. Raises NotCoprimeError
+    # unless A, B are left coprime
+    u, w = polymat._coprime_echelon(a.transpose(), b.transpose())
+    t, t_inv = w.transpose(), u.transpose()
+    n_blk = -t.submatrix(slice(r, None), slice(0, r))
+    y_blk = -t.submatrix(slice(r, None), slice(r, None))
     t1 = t_inv.submatrix(slice(0, r), slice(0, r))
     t2 = t_inv.submatrix(slice(0, r), slice(r, None))
     m_blk = t_inv.submatrix(slice(r, None), slice(0, r))

@@ -16,6 +16,7 @@ from meromat.frontio import (cli, files, parse_entry, poly_to_str, qp_to_str,
 from meromat.holomat import QuasiPolyEntry, QuasiPolyMat, TdsData
 from meromat.polymat import PolyMat
 from meromat.ratmat import RatMat
+from meromat.sysmat import Amd
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -335,6 +336,25 @@ class TestFiles:
         h = af.amd()
         assert (h.state_dim, h.output_dim, h.input_dim) == (2, 1, 1)
         assert h.C == PolyMat([[ONE, Poly.zero()]])
+
+    def test_no_row_matrix_round_trip(self):
+        for m in (PolyMat([], 2), RatMat([], 3), QuasiPolyMat([], 1)):
+            back = files.loads(files.dumps(m)).matrix()
+            assert back == m and back.shape == (0, m.cols)
+
+    @pytest.mark.parametrize("layout", ["standard", "flipped"])
+    def test_amd_without_outputs_round_trip(self, layout):
+        a = PolyMat([[Z, ONE], [Poly.zero(), Z]])
+        h = Amd(A=a, B=PolyMat([[ONE], [Z]]), C=PolyMat([], 2),
+                D=PolyMat([], 1))
+        if layout == "flipped":  # [[D, -C], [B, A]]
+            af = files.AmdFile(ring="polynomial", r=2, m=0, n=1,
+                               layout=layout, blocks=((), (), h.B.entries,
+                                                      a.entries))
+        else:
+            af = files.AmdFile.from_amd(h)
+        back = files.loads(files.dumps(af))
+        assert back == af and back.amd() == h
 
     def test_tds_round_trip(self):
         tf = files.loads(TDS_TEXT)

@@ -80,6 +80,9 @@ def sample_grid():
 
 
 class TestDenseMat:
+    def test_no_rows_to_polymat(self):
+        assert QuasiPolyMat([], 3).to_polymat() == PolyMat([], 3)
+
     @pytest.mark.parametrize("cls", MATRIX_TYPES)
     def test_ragged_rejected(self, cls):
         with pytest.raises(InputError):

@@ -18,6 +18,7 @@ from meromat.errors import (
     AnalysisError,
     InputError,
     NoSolutionError,
+    NotCoprimeError,
     RankDeficientError,
     SingularMatrixError,
 )
@@ -397,6 +398,19 @@ class TestCoprime:
             c, d = polymat.coprime_completion(a, b)
             big = PolyMat.block([[a, c], [b, d]])
             assert polymat.is_unimodular(big)
+        # m + p - n = 2 completion columns, beside a 1 x 2 top block
+        a = PolyMat([[Z, ONE]])
+        b = PolyMat([[ONE, ZERO], [Z, Z * Z], [ZERO, Z + ONE]])
+        c, d = polymat.coprime_completion(a, b)
+        assert (c.shape, d.shape) == ((1, 2), (3, 2))
+        assert polymat.is_unimodular(PolyMat.block([[a, c], [b, d]]))
+
+    def test_completion_needs_coprime(self):
+        with pytest.raises(NotCoprimeError):
+            polymat.coprime_completion(PolyMat([[Z]]), PolyMat([[Z * Z]]))
+        with pytest.raises(NotCoprimeError):  # too few rows for rank 2
+            polymat.coprime_completion(PolyMat([[ONE, Z]]),
+                                       PolyMat([], 2))
 
     def test_solve_bezout(self):
         a = PolyMat([[Z]])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -115,6 +116,32 @@ class TestRoots:
         assert {ex: "pole"}[num] == "pole" and {num: 2}[ex] == 2
         assert {ex} - {num} == set()
 
+    def test_numeric_roots_against_mpmath(self):
+        # real coefficients: real roots come back real, non-real ones in
+        # exactly conjugate pairs, all within 1e-12 of mpmath
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(36)
+        polys = [(Z * Z + ONE) * (Z - Poly.const(QQ(1, 3)))
+                 * (Z * Z - Poly.const(2)) * (Z * Z + Z + Poly.const(3))]
+        polys += [Poly([rng.randint(-5, 5) for _ in range(rng.randint(2, 6))]
+                       + [1]) for _ in range(20)]
+        for p in polys:
+            with mpmath.workdps(60):
+                ref = mpmath.polyroots(
+                    [mpmath.mpf(x) / p.den for x in reversed(p.nums)],
+                    maxsteps=200, extraprec=200)
+                ref = [(complex(r), abs(mpmath.im(r)) < 1e-40) for r in ref]
+            numeric = [h.approx for h, _ in poly_roots(p) if not h.is_exact]
+            for z in numeric:
+                near, real = min(ref, key=lambda rr: abs(rr[0] - z))
+                assert abs(near - z) < 1e-12
+                if real:
+                    assert z.imag == 0.0
+                else:
+                    assert z.conjugate() in numeric
+            nonreal = [z for z in numeric if z.imag != 0.0]
+            assert len(nonreal) == 2 * sum(z.imag > 0 for z in nonreal)
+
 
 class TestDivisor:
     def test_algebra(self):
@@ -146,6 +173,16 @@ class TestSmithMcMillan:
         assert dec.zero_factors == (ONE, Z)
         assert dec.pole_factors == (Z, ONE)
         assert dec.reconstruct() == m
+
+    def test_no_rows_keep_their_columns(self):
+        m = RatMat([], 2)
+        dec = smith_mcmillan(m)
+        assert dec.F.shape == (2, 2) and dec.sigma().shape == (0, 2)
+        assert dec.reconstruct() == m
+        assert m.to_polymat() == PolyMat([], 2)
+        mfd = right_coprime_mfd(m)
+        assert mfd.N == PolyMat([], 2) and mfd.D == PolyMat.identity(2)
+        assert mcmillan_degree(m) == 0
 
     def test_random_properties(self):
         rng = random.Random(21)
@@ -229,6 +266,59 @@ class TestMfd:
         with pytest.raises(InputError):
             mfd_unit_relator(m1, m2)
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_mfd_differential(self, side):
+        # N = M D (or D M) exactly, det D is the least order of M, and a
+        # Bezout certificate proves N, D coprime
+        rng = random.Random(33)
+        mats = [rand_ratmat(rng, r, c) for r in (1, 2, 3) for c in (1, 2, 3)]
+        mats += [RatMat.zeros(2, 3), rmat([[Z, ONE], [ONE, Z * Z]]),
+                 RatMat([], 2), RatMat([[], []], 0)]
+        for m in mats:
+            if side == "right":
+                mfd = right_coprime_mfd(m)
+                n, d = RatMat.from_polymat(mfd.N), RatMat.from_polymat(mfd.D)
+                ok, cert = polymat.are_right_coprime(mfd.N, mfd.D)
+                assert n == m @ d
+                assert cert.X @ mfd.N + cert.Y @ mfd.D == PolyMat.identity(
+                    m.cols)
+            else:
+                mfd = left_coprime_mfd(m)
+                n, d = RatMat.from_polymat(mfd.N), RatMat.from_polymat(mfd.D)
+                ok, cert = polymat.are_left_coprime(mfd.N, mfd.D)
+                assert n == d @ m
+                assert mfd.N @ cert.X + mfd.D @ cert.Y == PolyMat.identity(
+                    m.rows)
+            assert mfd.side == side and mfd.coprime and ok
+            assert polymat.det(mfd.D).monic() == least_order(m).zeros
+
+    def test_mfd_scale(self):
+        # the Smith-McMillan route took minutes on this 3 x 3 matrix, its
+        # D reaching degree 25 with 430-bit coefficients
+        rng = random.Random(2)
+
+        def p(k):
+            return Poly([rng.randint(-5, 5) for _ in range(k)] + [1])
+
+        m = RatMat([[RatFn(p(rng.randint(0, 2)), p(rng.randint(1, 2)))
+                     for _ in range(3)] for _ in range(3)])
+        start = time.perf_counter()
+        mfd = right_coprime_mfd(m)
+        assert time.perf_counter() - start < 5
+        bits = max(abs(x).bit_length() for row in mfd.D.entries
+                   for e in row for x in e.nums + (e.den,))
+        assert bits < 64
+        assert mfd.coprime
+        assert RatMat.from_polymat(mfd.N) == m @ RatMat.from_polymat(mfd.D)
+
+    def test_mfd_builds_no_smith_form(self, monkeypatch):
+        m = rand_ratmat(random.Random(34), 3, 2)
+        smiths = record_calls(monkeypatch, polymat, "_smith")
+        inverses = record_calls(monkeypatch, polymat, "inverse_unimodular")
+        right_coprime_mfd(m)
+        left_coprime_mfd(m)
+        assert smiths == [] and inverses == []
+
     def test_unit_relator_needs_coprime(self):
         mfd = Mfd(N=PolyMat([[Z]]), D=PolyMat([[Z]]), side="right",
                   coprime=False)
@@ -292,11 +382,13 @@ class TestKeptForms:
     def test_second_mfd_reduces_only_its_stack(self, monkeypatch):
         m = rand_ratmat(random.Random(28), 2, 2)
         first = right_coprime_mfd(m)
-        seen = record_calls(monkeypatch, polymat, "_echelon")
-        # the form of m and the echelon of its F are kept; only the fresh
-        # stack [N; D] of the coprimeness check is reduced again
+        echelons = record_calls(monkeypatch, polymat, "_echelon")
+        smiths = record_calls(monkeypatch, polymat, "_smith")
+        # one gcrd, of the fresh stack [d M; d I], and no Smith form
         assert right_coprime_mfd(m) == first
-        assert len(seen) == 1 and seen[0] == first.N.vstack(first.D)
+        d_eye = PolyMat.diag([m.denominator_lcm()] * 2)
+        stack = (RatMat.from_polymat(d_eye) @ m).to_polymat().vstack(d_eye)
+        assert echelons == [stack] and smiths == []
 
     def test_equal_matrices_build_separately(self, monkeypatch):
         m = rand_ratmat(random.Random(29), 2, 2)

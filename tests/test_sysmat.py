@@ -8,6 +8,7 @@ from genutil import (
     rand_polymat,
     rand_regular_polymat,
     rand_unimodular,
+    record_calls,
     transformed_realization,
 )
 from meromat import polymat, ratmat, sysmat
@@ -96,6 +97,16 @@ class TestEquivalence:
             s, w = to_rmf(h)
             assert verify_fse(h, s, w)
             assert transfer_function(s) == transfer_function(h)
+
+    def test_rmf_reads_one_echelon(self, monkeypatch):
+        # the completion T and its inverse come from the echelon of
+        # [A^T; B^T]: no Smith form, one inverse of its unimodular factor
+        h = rand_left_coprime_amd(random.Random(35), r=3, m=2, n=2)
+        smiths = record_calls(monkeypatch, polymat, "_smith")
+        inverses = record_calls(monkeypatch, polymat, "inverse_unimodular")
+        s, w = to_rmf(h)
+        assert smiths == [] and len(inverses) == 1
+        assert verify_fse(h, s, w)
 
     def test_to_lmf_verifies(self):
         rng = random.Random(32)
