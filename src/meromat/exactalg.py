@@ -254,13 +254,22 @@ class Poly:
 
     def _scaled(self, cn, cd) -> "Poly":
         """self * cn / cd."""
+        if not self.nums:
+            return self
         return _poly([x * cn for x in self.nums], self.den * cd)
 
-    def _plus(self, q, sign) -> "Poly":
-        """self + sign * q over the least common denominator."""
-        g = gcd(self.den, q.den)
-        mp, mq = q.den // g, self.den // g * sign
-        return _poly(_lin(self.nums, mp, q.nums, mq), self.den * mp)
+    def _plus(self, q, sign, y=None) -> "Poly":
+        """self + sign * q over the least common denominator; with y, the
+        elimination step self + sign * q * y, whose product stays on the
+        integer numerators, so that only the result is normalised."""
+        qn, qd = q.nums, q.den
+        if y is not None:
+            if not qn or not y.nums:
+                return self
+            qn, qd = _conv(qn, y.nums), qd * y.den
+        g = gcd(self.den, qd)
+        mp, mq = qd // g, self.den // g * sign
+        return _poly(_lin(self.nums, mp, qn, mq), self.den * mp)
 
     def _lead_inverse(self) -> tuple:
         """Parts of 1 / lc = den / nums[-1]."""
@@ -292,8 +301,11 @@ class Poly:
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        # a constant hashes like its GaussRat, as a constant RatFn must
+        # a constant hashes like its GaussRat, as a constant RatFn must;
+        # an integer hashes like its rational, so it needs no GaussRat
         if len(self.nums) <= 1:
+            if self.den == 1:
+                return hash(self.nums[0] if self.nums else 0)
             return hash(self._coeff(0))
         return hash((self.nums, self.den))
 
@@ -339,26 +351,31 @@ class Poly:
     def scale(self, c) -> "Poly":
         return self._scaled(*_parts(c))
 
-    def __divmod__(self, other):
+    def _divide(self, other, quotient=True, remainder=True):
+        """(q, r) of self by other, each None unless asked for: integer
+        pseudo-division s * self.nums = q' * b + r' (`_pdiv`) by other = b
+        / db with lc(b) > 0 gives q = q' * db / d and r = r' / d, d = s *
+        self.den. q' is empty when deg self < deg other."""
         other = Poly.coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return _P_ZERO, self
         b, db = other.nums, other.den
         if b[-1] < 0:
             b, db = [-x for x in b], -db
-        # integer pseudo-division: s * self.nums = q * b + r
-        q = [0] * (len(self.nums) - len(b) + 1)
+        q = [0] * (len(self.nums) - len(b) + 1) if quotient else None
         r, s = _pdiv(self.nums, b, q)
-        return (_poly([x * db for x in q], s * self.den),
-                _poly(r, s * self.den))
+        d = s * self.den
+        return (_poly([x * db for x in q], d) if quotient else None,
+                _poly(r, d) if remainder else None)
+
+    def __divmod__(self, other):
+        return self._divide(other)
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        return self._divide(other, remainder=False)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._divide(other, quotient=False)[1]
 
     def divides(self, other: "Poly") -> bool:
         if self.is_zero:

@@ -101,10 +101,10 @@ def _echelon(M: PolyMat):
               for row in h if not all(x.is_zero for x in row)]
     for k, j in enumerate(pivots):
         if not h[k][j].is_monic:
-            inv = 1 / h[k][j].leading().re
-            h[k] = [a.scale(inv) for a in h[k]]
-            u[k] = [a.scale(inv) for a in u[k]]
-            det_u = det_u * inv
+            cn, cd = h[k][j]._lead_inverse()
+            h[k] = [a._scaled(cn, cd) for a in h[k]]
+            u[k] = [a._scaled(cn, cd) for a in u[k]]
+            det_u = det_u * cn / cd
         for i in range(k):
             if h[i][j].degree >= h[k][j].degree:
                 _fwd(h, u, i, k, h[i][j] // h[k][j])
@@ -160,14 +160,14 @@ def _sub(a, t, i, k, q):
     """Row i of a -= q * row k; row k of t += q * row i. With a = S and t
     = E^T that is the row operation on S and its inverse on E; with a =
     S^T and t = F, the column operation and its inverse on F."""
-    a[i] = [x if y.is_zero else x - q * y for x, y in zip(a[i], a[k])]
-    t[k] = [x if y.is_zero else x + q * y for x, y in zip(t[k], t[i])]
+    a[i] = [x._plus(q, -1, y) for x, y in zip(a[i], a[k])]
+    t[k] = [x._plus(q, 1, y) for x, y in zip(t[k], t[i])]
 
 
 def _fwd(a, t, i, k, q):
     """Row i of a -= q * row k, and the same row operation on t = U."""
-    a[i] = [x if y.is_zero else x - q * y for x, y in zip(a[i], a[k])]
-    t[i] = [x if y.is_zero else x - q * y for x, y in zip(t[i], t[k])]
+    a[i] = [x._plus(q, -1, y) for x, y in zip(a[i], a[k])]
+    t[i] = [x._plus(q, -1, y) for x, y in zip(t[i], t[k])]
 
 
 def _triangularise(a, t, step):
@@ -221,9 +221,9 @@ def _smith(A: PolyMat) -> SmithDecomposition:
             break
         _sub(s, et, bad, bad + 1, Poly.const(-1))
     for k, p in enumerate(d):
-        lead = p.leading().re
-        s[k] = [x.scale(1 / lead) for x in s[k]]
-        et[k] = [x.scale(lead) for x in et[k]]
+        cn, cd = p._lead_inverse()
+        s[k] = [x._scaled(cn, cd) for x in s[k]]
+        et[k] = [x._scaled(cd, cn) for x in et[k]]
     e = [[et[j][i] for j in range(m)] for i in range(m)]
     return SmithDecomposition(
         E=PolyMat(e, m), S=PolyMat(s, n), F=PolyMat(f, n),
@@ -254,7 +254,7 @@ def _right_divide(C: PolyMat, D: PolyMat):
         for j in range(D.cols):
             acc = c[j]
             for i in range(j):
-                acc = acc - q[i] * d[i][j]
+                acc = acc._plus(q[i], -1, d[i][j])
             qj, r = divmod(acc, d[j][j])
             if not r.is_zero:
                 return None
@@ -376,3 +376,15 @@ def left_quotient(C: PolyMat, D: PolyMat):
     """R with C = D @ R if one exists over the polynomials, else None."""
     r = right_quotient(C.transpose(), D.transpose())
     return None if r is None else r.transpose()
+
+
+def _right_solve(C: PolyMat, A: PolyMat):
+    """(Y, delta) with Y @ A = delta * C for a regular square A, delta the
+    product of the monic diagonal of A's kept echelon H: Y is the right
+    quotient of delta * C by A, polynomial because delta * H^-1 is."""
+    h, _ = hermite_form(A)
+    delta = Poly.one()
+    for i in range(A.rows):
+        delta = delta * h[i, i]
+    dc = PolyMat([[delta * c for c in row] for row in C.entries], C.cols)
+    return right_quotient(dc, A), delta

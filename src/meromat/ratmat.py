@@ -78,9 +78,8 @@ class RatMat(linalg_exact.DenseMat):
 
     def denominator_lcm(self) -> Poly:
         d = _P_ONE
-        for row in self.entries:
-            for e in row:
-                d = poly_lcm(d, e.den)
+        for den in {e.den for row in self.entries for e in row}:
+            d = poly_lcm(d, den)
         return d.monic()
 
 
@@ -320,8 +319,11 @@ def smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
 
 
 def _cleared(M: RatMat, d: Poly) -> PolyMat:
-    """d @ M, polynomial for a common denominator d of the entries."""
-    return PolyMat([[e.num * d.exact_div(e.den) for e in row]
+    """d @ M, polynomial for a common denominator d of the entries; d is
+    divided by each distinct denominator once."""
+    cofactor = {den: d.exact_div(den)
+                for den in {e.den for row in M.entries for e in row}}
+    return PolyMat([[e.num * cofactor[e.den] for e in row]
                     for row in M.entries], M.cols)
 
 
@@ -396,9 +398,13 @@ class Mfd:
     coprime: bool
 
     def transfer(self) -> RatMat:
-        dinv = RatMat.from_polymat(self.D).inverse()
-        n = RatMat.from_polymat(self.N)
-        return n @ dinv if self.side == "right" else dinv @ n
+        """N @ D^-1 = Y / delta for Y @ D = delta * N (`polymat._right_solve`);
+        a left MFD through its transpose, the right MFD of M^T."""
+        if self.side == "left":
+            return self.transpose().transfer().transpose()
+        y, delta = polymat._right_solve(self.N, self.D)
+        return RatMat([[RatFn(e, delta) for e in row] for row in y.entries],
+                      y.cols)
 
     def order_divisor(self) -> Divisor:
         return Divisor.of_zeros(polymat.det(self.D))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import polymat, ratmat
 from .errors import AnalysisError, InputError, NotCoprimeError, SingularMatrixError
-from .exactalg import Poly
+from .exactalg import Poly, RatFn
 from .polymat import PolyMat
 from .ratmat import Divisor, RatMat
 
@@ -149,15 +149,19 @@ def _as_polymat(block) -> PolyMat:
 
 def transfer_function(H: Amd):
     """Schur complement D + C A^{-1} B; exact for polynomial/rational AMDs,
-    an evaluable closure for quasipoly AMDs."""
+    an evaluable closure for quasipoly AMDs. The exact one is the reduced
+    (D delta + Y B) / delta for Y A = delta C, which `polymat._right_solve`
+    reads off the echelon of A that `Amd(...)` keeps from its regularity
+    check: no rational-function matrix is inverted."""
     if H.ring == "quasipoly":
         from . import holomat
 
         return holomat.qp_transfer_closure(H)
-    a_inv = RatMat.from_polymat(H.A).inverse()
-    c = RatMat.from_polymat(H.C)
-    b = RatMat.from_polymat(H.B)
-    return RatMat.from_polymat(H.D) + c @ a_inv @ b
+    y, delta = polymat._right_solve(H.C, H.A)
+    return RatMat([[RatFn(e._plus(d, 1, delta), delta)
+                    for d, e in zip(rd, ryb)]
+                   for rd, ryb in zip(H.D.entries, (y @ H.B).entries)],
+                  H.D.cols)
 
 
 def is_irreducible(H: Amd) -> bool:

@@ -237,6 +237,42 @@ class TestKernelDifferential:
                     p.exact_div(q)
 
     @pytest.mark.parametrize("big", [False, True])
+    def test_elimination_step_and_partial_division(self, big):
+        """The step x + sign * q * y, built once on integer numerators,
+        gives the (nums, den) of the operator expression; `//` and `%` give
+        the two halves of divmod; scaling by the integer pair of 1 / lc
+        gives scale(1 / lc). Zero, constants and negative leading
+        coefficients are drawn on purpose."""
+        rng = random.Random(17 + big)
+        bits = 70 if big else 4
+        special = [Poly.zero(), Poly.one(), Poly.const(QQ(-3, 2)),
+                   Poly((QQ(1), QQ(0), QQ(-5, 3))), Poly((QQ(2), QQ(-7)))]
+
+        def draw():
+            if rng.random() < 0.25:
+                return rng.choice(special)
+            return rand_qpoly(rng, 5, bits=bits)
+
+        def parts(p):
+            return p.nums, p.den
+
+        for _ in range(200):
+            x, q, y = draw(), draw(), draw()
+            assert parts(x._plus(q, -1, y)) == parts(x - q * y)
+            assert parts(x._plus(q, 1, y)) == parts(x + q * y)
+            if y.is_zero:
+                for op in (divmod, lambda a, b: a // b, lambda a, b: a % b):
+                    with pytest.raises(ZeroDivisionError):
+                        op(x, y)
+                continue
+            quo, rem = divmod(x, y)
+            assert parts(x // y) == parts(quo)
+            assert parts(x % y) == parts(rem)
+            scaled = y._scaled(*y._lead_inverse())
+            assert parts(scaled) == parts(y.scale(1 / y.leading().re))
+            assert scaled.is_monic
+
+    @pytest.mark.parametrize("big", [False, True])
     def test_gcd_lcm(self, big):
         rng = random.Random(21 + big)
         bits = 70 if big else 4

@@ -5,18 +5,19 @@ import pytest
 from genutil import (
     rand_irreducible_amd,
     rand_left_coprime_amd,
+    rand_poly,
     rand_polymat,
     rand_regular_polymat,
     rand_unimodular,
     record_calls,
     transformed_realization,
 )
-from meromat import polymat, ratmat, sysmat
+from meromat import linalg_exact, polymat, ratmat, sysmat
 from meromat.errors import InputError, NotCoprimeError, SingularMatrixError
-from meromat.exactalg import QQ, Poly
+from meromat.exactalg import QQ, Poly, RatFn
 from meromat.holomat import TdsData, build_tds_amd
 from meromat.polymat import PolyMat
-from meromat.ratmat import Divisor, Mfd
+from meromat.ratmat import Divisor, Mfd, RatMat
 from meromat.sysmat import (
     Amd,
     FseWitness,
@@ -220,6 +221,128 @@ class TestEquivalence:
         assert h.system_matrix() == PolyMat([[Z, ONE], [-ONE, ZERO]])
         eye, zero = PolyMat.identity(1), PolyMat.zeros(1, 1)
         assert verify_rse(h, h, RseWitness(M=eye, N=eye, X=zero, Y=zero, p=1))
+
+
+def block(rng, rows, cols, max_deg=2):
+    """A random polynomial block that keeps its column count with no rows."""
+    return PolyMat([[rand_poly(rng, max_deg) for _ in range(cols)]
+                    for _ in range(rows)], cols)
+
+
+def oracle_inverse(a: PolyMat) -> RatMat:
+    """A^-1 by Gauss-Jordan over the rational functions, independent of the
+    Hermite echelon that the transfer functions read."""
+    return RatMat(linalg_exact.inverse(RatMat.from_polymat(a).entries),
+                  a.cols)
+
+
+def transfer_cases():
+    """Regular AMDs with r = 0..4 and m, n = 0..3, plus a constant state
+    block and one whose det has a negative, non-unit leading coefficient."""
+    rng = random.Random(60)
+    cases = [
+        Amd(A=PolyMat([[QQ(2), ONE], [ONE, ONE]]), B=block(rng, 2, 2),
+            C=block(rng, 1, 2), D=block(rng, 1, 2)),
+        Amd(A=PolyMat([[Poly((1, -3)), Z], [Poly.const(2), Poly.const(5)]]),
+            B=block(rng, 2, 1), C=block(rng, 2, 2), D=block(rng, 2, 1)),
+    ]
+    assert polymat.det(cases[1].A) == Poly((5, -17))
+    for r in range(5):
+        for _ in range(4):
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
+            cases.append(Amd(A=rand_regular_polymat(rng, r, 2),
+                             B=block(rng, r, n), C=block(rng, m, r),
+                             D=block(rng, m, n)))
+    return cases
+
+
+def mfd_cases():
+    rng = random.Random(61)
+    for side in ("right", "left"):
+        for n in range(4):
+            m = rng.randint(0, 3)
+            shape = (m, n) if side == "right" else (n, m)
+            yield Mfd(N=block(rng, *shape), D=rand_regular_polymat(rng, n, 2),
+                      side=side, coprime=False)
+
+
+def sympy_matrix(sp, m):
+    """m over sympy's field QQ(z), whose elements are reduced fractions."""
+    from sympy.polys.matrices import DomainMatrix
+
+    z = sp.Symbol("z")
+    field = sp.QQ.frac_field(z)
+
+    def conv(e):
+        if isinstance(e, RatFn):
+            return conv(e.num) / conv(e.den)
+        return field.from_sympy(sp.Add(*(
+            sp.Rational(int(c.re.numerator), int(c.re.denominator)) * z ** k
+            for k, c in enumerate(e.coeffs))))
+
+    return DomainMatrix([[conv(e) for e in row] for row in m.entries],
+                        m.shape, field)
+
+
+class TestTransfer:
+    def test_against_gauss_jordan(self):
+        for h in transfer_cases():
+            want = (RatMat.from_polymat(h.D) + RatMat.from_polymat(h.C)
+                    @ oracle_inverse(h.A) @ RatMat.from_polymat(h.B))
+            assert transfer_function(h) == want
+        for mfd in mfd_cases():
+            n, d_inv = RatMat.from_polymat(mfd.N), oracle_inverse(mfd.D)
+            want = n @ d_inv if mfd.side == "right" else d_inv @ n
+            assert mfd.transfer() == want
+
+    def test_against_sympy(self):
+        sp = pytest.importorskip("sympy")
+        for h in transfer_cases():
+            a, b, c, d = (sympy_matrix(sp, m) for m in (h.A, h.B, h.C, h.D))
+            want = d + c * a.lu_solve(b) if h.state_dim and h.input_dim else d
+            assert sympy_matrix(sp, transfer_function(h)) == want
+        for mfd in mfd_cases():
+            n, d = sympy_matrix(sp, mfd.N), sympy_matrix(sp, mfd.D)
+            if not (d.shape[0] and n.shape[0] and n.shape[1]):
+                want = n
+            elif mfd.side == "right":
+                want = d.transpose().lu_solve(n.transpose()).transpose()
+            else:
+                want = d.lu_solve(n)
+            assert sympy_matrix(sp, mfd.transfer()) == want
+
+    def test_reads_the_kept_echelon(self, monkeypatch):
+        # Amd(...) keeps A's echelon through its determinant check
+        h = transfer_cases()[-1]
+        echelons = record_calls(monkeypatch, polymat, "_echelon")
+        transfer_function(h)
+        assert echelons == []
+
+    def test_no_rational_function_kernels(self, monkeypatch):
+        """The system operations work in Q[z] alone: none reaches the RatFn
+        rank, determinant or inverse kernels."""
+        rng = random.Random(62)
+        h = rand_irreducible_amd(rng, m=2)
+        h2 = transformed_realization(rng, h)
+        core = rand_irreducible_amd(rng)
+        ql = rand_regular_polymat(rng, 2, 1)
+        planted = Amd(A=ql @ core.A, B=ql @ core.B, C=core.C, D=core.D)
+        mfd = ratmat.right_coprime_mfd(transfer_function(h))
+
+        def refuse(*args):
+            raise AssertionError("sysmat used a rational-function kernel")
+
+        for name in ("rank", "det", "inverse"):
+            monkeypatch.setattr(linalg_exact, name, refuse)
+        assert transfer_function(h) == mfd.transfer()
+        assert least_order_check(h).is_least
+        assert not least_order_check(planted).is_least
+        assert is_irreducible(decouple(planted).reduced)
+        for reduce in (to_rmf, to_lmf):
+            s, w = reduce(h)
+            assert verify_fse(h, s, w)
+        assert verify_fse(h, h2, equate_irreducible(h, h2))
+        assert mfd.transpose().transfer() == transfer_function(h).transpose()
 
 
 class TestLeastOrder:
