@@ -233,12 +233,16 @@ class DenseMat:
     itself, so that code reading `type(M).__slots__` sees the fields of a
     matrix. Matrices of different subclasses never compare equal, even with
     equal entries. A matrix with no rows keeps the column count `cols` that
-    its constructor is given.
+    its constructor is given. The constructor coerces every entry and
+    checks the rows; `_of` builds a matrix from entries already of the
+    ring, as sums, products and eliminations produce them.
 
     Forms derived from a matrix are built on first use and kept in one
     slot, `_kept`, through `_keep`: the numeric forms of M and of [M | M']
     (coefficient arrays that evaluate whole vectors of nodes), the Hermite
-    echelon, and the Smith or Smith-McMillan form, each immutable.
+    echelon, the Smith or Smith-McMillan form, and the Smith-McMillan
+    factors alone ("smith_mcmillan_factors", built with no E or F for
+    the queries that read only the diagonal), each immutable.
     Equality, hashing and pickling ignore the slot: equal matrices built
     apart build their own forms, and a pickled or copied matrix starts
     with none.
@@ -262,6 +266,17 @@ class DenseMat:
         grid = tuple(tuple(coerce(e) for e in row) for row in entries)
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise InputError(f"ragged {self.kind} matrix")
+        self._fill(grid, cols)
+
+    @classmethod
+    def _of(cls, grid, cols=0):
+        """The matrix of rows of entries already of the ring, all of one
+        length, taken as they are: no coercion and no ragged-row check."""
+        out = object.__new__(cls)
+        out._fill(tuple(map(tuple, grid)), cols)
+        return out
+
+    def _fill(self, grid, cols):
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", len(grid[0]) if grid else cols)
@@ -281,16 +296,22 @@ class DenseMat:
     def __reduce__(self):
         return type(self), (self.entries, self.cols)
 
+    def _like(self, other):
+        """The constructor of a result built from self and other: `_of`
+        when both are of this type, so every entry is of the ring, else
+        the coercing constructor."""
+        return type(self)._of if type(other) is type(self) else type(self)
+
     # -- constructors --------------------------------------------------
 
     @classmethod
     def identity(cls, n: int):
-        return cls([[cls._one if i == j else cls._zero for j in range(n)]
-                    for i in range(n)])
+        return cls._of([[cls._one if i == j else cls._zero for j in range(n)]
+                        for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int):
-        return cls([[cls._zero] * cols for _ in range(rows)], cols)
+        return cls._of([[cls._zero] * cols for _ in range(rows)], cols)
 
     @classmethod
     def diag(cls, values, rows=None, cols=None):
@@ -326,23 +347,24 @@ class DenseMat:
 
     def transpose(self):
         grid = zip(*self.entries) if self.rows else [()] * self.cols
-        return type(self)(grid, self.rows)
+        return type(self)._of(grid, self.rows)
 
     def submatrix(self, row_slice, col_slice):
         rows = self.entries[row_slice]
         cols = len(range(self.cols)[col_slice])
-        return type(self)([row[col_slice] for row in rows], cols)
+        return type(self)._of([row[col_slice] for row in rows], cols)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise InputError("hstack: row counts differ")
-        return type(self)([a + b for a, b in zip(self.entries, other.entries)],
-                          self.cols + other.cols)
+        return self._like(other)(
+            [a + b for a, b in zip(self.entries, other.entries)],
+            self.cols + other.cols)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise InputError("vstack: column counts differ")
-        return type(self)(self.entries + other.entries, self.cols)
+        return self._like(other)(self.entries + other.entries, self.cols)
 
     @staticmethod
     def block(blocks):
@@ -367,22 +389,23 @@ class DenseMat:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise InputError("matrix addition: shape mismatch")
-        return type(self)([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)],
-                          self.cols)
+        return self._like(other)([[a + b for a, b in zip(r1, r2)]
+                                  for r1, r2 in zip(self.entries,
+                                                    other.entries)],
+                                 self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)([[-e for e in row] for row in self.entries],
-                          self.cols)
+        return type(self)._of([[-e for e in row] for row in self.entries],
+                              self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise InputError("matrix product: shape mismatch")
-        return type(self)(matmul(self.entries, other.entries, self._zero,
-                                 other.cols), other.cols)
+        return self._like(other)(matmul(self.entries, other.entries,
+                                        self._zero, other.cols), other.cols)
 
     # -- evaluation -------------------------------------------------------
 

@@ -2,7 +2,8 @@
 gcrd/gcld, coprimeness certificates and Bezout equations.
 
 All computations are exact over rational coefficients. One row
-reduction to Hermite echelon form answers every query but the Smith form.
+reduction to Hermite echelon form, kept on the matrix, answers every
+query; the Smith form of a square regular matrix starts from it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
     "inverse_unimodular",
     "hermite_form",
 ]
+
+_ZERO, _ONE, _MINUS_ONE = Poly.zero(), Poly.one(), Poly.const(-1)
 
 
 class PolyMat(linalg_exact.DenseMat):
@@ -95,7 +98,7 @@ def _echelon(M: PolyMat):
     U, pivots, det U), det U a nonzero constant, kept on M as
     `M._keep("echelon", _echelon)`."""
     h = [list(row) for row in M.entries]
-    u = [list(row) for row in PolyMat.identity(M.rows).entries]
+    u = _eye(M.rows)
     det_u = QQ(-1 if _triangularise(h, u, _fwd) % 2 else 1)
     pivots = [next(j for j, x in enumerate(row) if not x.is_zero)
               for row in h if not all(x.is_zero for x in row)]
@@ -108,7 +111,7 @@ def _echelon(M: PolyMat):
         for i in range(k):
             if h[i][j].degree >= h[k][j].degree:
                 _fwd(h, u, i, k, h[i][j] // h[k][j])
-    return PolyMat(h, M.cols), PolyMat(u), pivots, det_u
+    return PolyMat._of(h, M.cols), PolyMat._of(u, M.rows), pivots, det_u
 
 
 def det(A: PolyMat) -> Poly:
@@ -149,32 +152,42 @@ def smith_form(A: PolyMat) -> SmithDecomposition:
     Row and column triangularisation passes alternate until S is diagonal
     (Kannan & Bachem, SIAM J. Comput. 8, 1979); each pass takes its
     pivots by Euclid down one column at a time, the entry of least degree
-    first. Where d_i does not divide d_i+1, row i+1 is added to row i and
-    the passes resume. Invariant factors come out monic and satisfy the
-    divisibility chain. The decomposition is kept on A.
+    first. A square regular A starts from its kept Hermite echelon H =
+    U @ A, with E seeded by U^-1 = A @ H^-1, so the echelon that `det` and
+    `hermite_form` read is the Smith form's row pass and E and F stay
+    small; any other A starts from itself. Where d_i does not divide
+    d_i+1, row i+1 is added to row i and the passes resume. Invariant
+    factors come out monic and satisfy the divisibility chain. The
+    decomposition is kept on A, beside the echelon.
     """
     return A._keep("smith", _smith)
+
+
+def _cut(a, t, i, k, q):
+    """Row i of a -= q * row k, carried nowhere (t is not read)."""
+    a[i] = [x._plus(q, -1, y) for x, y in zip(a[i], a[k])]
 
 
 def _sub(a, t, i, k, q):
     """Row i of a -= q * row k; row k of t += q * row i. With a = S and t
     = E^T that is the row operation on S and its inverse on E; with a =
     S^T and t = F, the column operation and its inverse on F."""
-    a[i] = [x._plus(q, -1, y) for x, y in zip(a[i], a[k])]
+    _cut(a, t, i, k, q)
     t[k] = [x._plus(q, 1, y) for x, y in zip(t[k], t[i])]
 
 
 def _fwd(a, t, i, k, q):
     """Row i of a -= q * row k, and the same row operation on t = U."""
-    a[i] = [x._plus(q, -1, y) for x, y in zip(a[i], a[k])]
+    _cut(a, t, i, k, q)
     t[i] = [x._plus(q, -1, y) for x, y in zip(t[i], t[k])]
 
 
 def _triangularise(a, t, step):
     """Row echelon form of a in place, without reduction above the pivots.
     `step(a, t, i, k, q)` takes q times row k of a from row i and carries
-    that over to t, as its inverse (`_sub`, Smith) or as itself (`_fwd`,
-    echelon); swaps move rows of a and t together. Returns their number."""
+    that over to t, as its inverse (`_sub`, Smith), as itself (`_fwd`,
+    echelon) or not at all (`_cut`); swaps move rows of a and t together.
+    Returns their number."""
     k = swaps = 0
     for j in range(len(a[0]) if a else 0):
         rest = [i for i in range(k, len(a)) if not a[i][j].is_zero]
@@ -195,22 +208,27 @@ def _triangularise(a, t, step):
     return swaps
 
 
-def _smith(A: PolyMat) -> SmithDecomposition:
-    """The elimination of `smith_form`, uncached."""
-    m, n = A.rows, A.cols
-    s = [list(row) for row in A.entries]
-    et = [list(row) for row in PolyMat.identity(m).entries]  # E transposed
-    f = [list(row) for row in PolyMat.identity(n).entries]
+def _eye(n):
+    """The rows of the n x n identity, as lists."""
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+
+
+def _diagonalise(s, et, f, step):
+    """Alternate row passes (carried onto the rows of et = E^T) and column
+    passes (onto the rows of f = F) on the grid s until it is diagonal,
+    and add row i+1 to row i wherever d_i does not divide d_i+1. Returns
+    the diagonal grid and the nonzero d_i, not yet monic."""
+    m, n = len(s), len(f)
 
     def diagonal():
         return all(x.is_zero for i, row in enumerate(s)
                    for j, x in enumerate(row) if i != j)
 
     while True:
-        _triangularise(s, et, _sub)
+        _triangularise(s, et, step)
         if not diagonal():
             st = [[s[i][j] for i in range(m)] for j in range(n)]
-            _triangularise(st, f, _sub)
+            _triangularise(st, f, step)
             s = [[st[j][i] for j in range(n)] for i in range(m)]
             if not diagonal():
                 continue
@@ -218,18 +236,46 @@ def _smith(A: PolyMat) -> SmithDecomposition:
         bad = next((i for i in range(len(d) - 1)
                     if not d[i].divides(d[i + 1])), None)
         if bad is None:
-            break
-        _sub(s, et, bad, bad + 1, Poly.const(-1))
+            return s, d
+        step(s, et, bad, bad + 1, _MINUS_ONE)
+
+
+def _smith(A: PolyMat) -> SmithDecomposition:
+    """The elimination of `smith_form`, uncached. A square A whose kept
+    echelon H = U @ A has a pivot in every column starts from H, with E
+    seeded by W = U^-1 = A @ H^-1 (exact division along the rows of H):
+    A = W @ H, so the passes' inverse steps give E = W @ E_H, the row pass
+    finds H triangular and the column pass clears what lies above the
+    diagonal. Any other A starts from itself with E = I."""
+    m, n = A.rows, A.cols
+    h = pivots = None
+    if m == n:
+        h, _, pivots, _ = A._keep("echelon", _echelon)
+    if h is not None and len(pivots) == n:
+        s = [list(row) for row in h.entries]
+        et = [list(col) for col in zip(*_right_divide(A, h).entries)]
+    else:
+        s, et = [list(row) for row in A.entries], _eye(m)
+    f = _eye(n)
+    s, d = _diagonalise(s, et, f, _sub)
     for k, p in enumerate(d):
         cn, cd = p._lead_inverse()
         s[k] = [x._scaled(cn, cd) for x in s[k]]
         et[k] = [x._scaled(cd, cn) for x in et[k]]
-    e = [[et[j][i] for j in range(m)] for i in range(m)]
     return SmithDecomposition(
-        E=PolyMat(e, m), S=PolyMat(s, n), F=PolyMat(f, n),
+        E=PolyMat._of(zip(*et), m), S=PolyMat._of(s, n),
+        F=PolyMat._of(f, n),
         invariant_factors=tuple(s[k][k] for k in range(len(d))),
         nrank=len(d),
     )
+
+
+def _invariant_factors(A: PolyMat) -> tuple:
+    """The monic invariant factors of A by the passes of `_smith` from A
+    itself, carrying neither E nor F and building no echelon."""
+    s = [list(row) for row in A.entries]
+    _, d = _diagonalise(s, [None] * A.rows, [None] * A.cols, _cut)
+    return tuple(p.monic() for p in d)
 
 
 def hermite_form(D: PolyMat) -> tuple[PolyMat, PolyMat]:
@@ -260,7 +306,7 @@ def _right_divide(C: PolyMat, D: PolyMat):
                 return None
             q.append(qj)
         rows.append(q)
-    return PolyMat(rows, D.cols)
+    return PolyMat._of(rows, D.cols)
 
 
 def gcrd(A: PolyMat, B: PolyMat) -> GcrdResult:

@@ -295,26 +295,30 @@ class SmithMcMillanDecomposition:
 
     @property
     def phi_total(self) -> Poly:
-        p = _P_ONE
-        for f in self.zero_factors:
-            p = p * f
-        return p
+        return _product(self.zero_factors)
 
     @property
     def psi_total(self) -> Poly:
-        p = _P_ONE
-        for f in self.pole_factors:
-            p = p * f
-        return p
+        return _product(self.pole_factors)
 
     def reconstruct(self) -> RatMat:
         return RatMat.from_polymat(self.E) @ self.sigma() @ RatMat.from_polymat(self.F)
 
 
+def _product(polys) -> Poly:
+    p = _P_ONE
+    for f in polys:
+        p = p * f
+    return p
+
+
 def smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     """Clear the least common denominator, take the polynomial Smith form,
     and reduce each diagonal entry back against the denominator. The
-    decomposition is kept on M, so every query on M shares it."""
+    decomposition, E and F included, is kept on M under "smith_mcmillan";
+    the queries that read only its diagonal (the indices, least order and
+    McMillan degree) read it from there when it is kept, and otherwise
+    build only the factors (see `_factors`)."""
     return M._keep("smith_mcmillan", _smith_mcmillan)
 
 
@@ -323,23 +327,45 @@ def _cleared(M: RatMat, d: Poly) -> PolyMat:
     divided by each distinct denominator once."""
     cofactor = {den: d.exact_div(den)
                 for den in {e.den for row in M.entries for e in row}}
-    return PolyMat([[e.num * cofactor[e.den] for e in row]
-                    for row in M.entries], M.cols)
+    return PolyMat._of([[e.num * cofactor[e.den] for e in row]
+                        for row in M.entries], M.cols)
+
+
+def _reduced(invariant_factors, d: Poly) -> tuple:
+    """(zero factors, pole factors): each s / d in lowest terms."""
+    phis, psis = [], []
+    for s in invariant_factors:
+        f = RatFn(s, d)
+        phis.append(f.num.monic())
+        psis.append(f.den)
+    return tuple(phis), tuple(psis)
 
 
 def _smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     d = M.denominator_lcm()
     dec = polymat.smith_form(_cleared(M, d))
-    phis, psis = [], []
-    for s in dec.invariant_factors:
-        f = RatFn(s, d)
-        phis.append(f.num.monic())
-        psis.append(f.den)
+    phis, psis = _reduced(dec.invariant_factors, d)
     return SmithMcMillanDecomposition(
-        E=dec.E, F=dec.F,
-        zero_factors=tuple(phis), pole_factors=tuple(psis),
+        E=dec.E, F=dec.F, zero_factors=phis, pole_factors=psis,
         nrank=dec.nrank, shape=(M.rows, M.cols),
     )
+
+
+def _smith_mcmillan_factors(M: RatMat) -> tuple:
+    """(zero factors, pole factors) from invariant factors that carry no
+    E or F and build no echelon."""
+    d = M.denominator_lcm()
+    return _reduced(polymat._invariant_factors(_cleared(M, d)), d)
+
+
+def _factors(M: RatMat) -> tuple:
+    """(zero factors, pole factors) of M: read from the kept Smith-McMillan
+    decomposition if there is one, else from the factors alone, kept under
+    "smith_mcmillan_factors"."""
+    dec = (M._kept or {}).get("smith_mcmillan")
+    if dec is not None:
+        return dec.zero_factors, dec.pole_factors
+    return M._keep("smith_mcmillan_factors", _smith_mcmillan_factors)
 
 
 def _exact_point(point) -> GaussRat:
@@ -360,26 +386,23 @@ def _exact_point(point) -> GaussRat:
 def zero_index(M: RatMat, point) -> IndexTuple:
     """(ν₁,…,ν_r): multiplicities of the point in the zero factors φⱼ."""
     lam = _exact_point(point)
-    dec = smith_mcmillan(M)
     return IndexTuple(lam, tuple(f.multiplicity_at(lam)
-                                 for f in dec.zero_factors))
+                                 for f in _factors(M)[0]))
 
 
 def pole_index(M: RatMat, point) -> IndexTuple:
     """(κ₁,…,κ_r): multiplicities of the point in the pole factors ψⱼ,
     listed nonincreasing."""
     lam = _exact_point(point)
-    dec = smith_mcmillan(M)
     return IndexTuple(lam, tuple(f.multiplicity_at(lam)
-                                 for f in dec.pole_factors))
+                                 for f in _factors(M)[1]))
 
 
 def pole_zero_index(M: RatMat, point) -> IndexTuple:
     """τⱼ = νⱼ − κⱼ: the nondecreasing local exponent tuple."""
     lam = _exact_point(point)
-    dec = smith_mcmillan(M)
     vals = tuple(p.multiplicity_at(lam) - q.multiplicity_at(lam)
-                 for p, q in zip(dec.zero_factors, dec.pole_factors))
+                 for p, q in zip(*_factors(M)))
     return IndexTuple(lam, vals)
 
 
@@ -456,11 +479,11 @@ def mfd_unit_relator(mfd1: Mfd, mfd2: Mfd) -> PolyMat:
 def least_order(M: RatMat) -> Divisor:
     """ν(M): the pole divisor ∂_D of any coprime MFD, read off as the
     divisor of ψ_A."""
-    return Divisor.of_zeros(smith_mcmillan(M).psi_total)
+    return Divisor.of_zeros(_product(_factors(M)[1]))
 
 
 def least_order_total(M: RatMat) -> int:
-    return smith_mcmillan(M).psi_total.degree
+    return sum(f.degree for f in _factors(M)[1])
 
 
 def _substitute_reciprocal(P: RatMat) -> RatMat:

@@ -30,14 +30,14 @@ def fresh(m):
 
 
 def record_calls(monkeypatch, module, name: str) -> list:
-    """Wrap the one-argument function `module.name` so that each call
-    appends its argument to the returned list."""
+    """Wrap the function `module.name` so that each call appends its first
+    argument to the returned list."""
     seen = []
     real = getattr(module, name)
 
-    def recorded(arg):
+    def recorded(arg, *rest):
         seen.append(arg)
-        return real(arg)
+        return real(arg, *rest)
 
     monkeypatch.setattr(module, name, recorded)
     return seen

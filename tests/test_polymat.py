@@ -202,6 +202,42 @@ class TestSmith:
         assert dec.E @ dec.S @ dec.F == a
         assert dec.invariant_factors[-1] == polymat.det(a).monic()
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_large_dense_7x7(self, seed):
+        """7 x 7 of degree 3 with coefficients in -9..9: the form starts
+        from the kept echelon, and E and F stay under 600 bits."""
+        rng = random.Random(seed)
+        a = PolyMat([[Poly([rng.randint(-9, 9) for _ in range(4)])
+                      for _ in range(7)] for _ in range(7)])
+        start = time.perf_counter()
+        dec = smith_form(a)
+        assert time.perf_counter() - start < 10
+        bits = max(x.bit_length() for m in (dec.E, dec.F)
+                   for row in m.entries for p in row
+                   for x in p.nums + (p.den,))
+        assert bits < 600
+        assert dec.E @ dec.S @ dec.F == a
+        assert polymat.is_unimodular(dec.E)
+        assert polymat.is_unimodular(dec.F)
+
+    def test_one_echelon_in_any_order(self, monkeypatch):
+        """On a square regular matrix, the Smith form, the Hermite form and
+        the determinant, asked in any order, share one echelon and one
+        division W = A @ H^-1."""
+        a = rand_regular_polymat(random.Random(15), 3, 2)
+        want = (smith_form(a), hermite_form(a), polymat.det(a))
+        for order in itertools.permutations(range(3)):
+            echelons = record_calls(monkeypatch, polymat, "_echelon")
+            divisions = record_calls(monkeypatch, polymat, "_right_divide")
+            m = fresh(a)
+            calls = (smith_form, hermite_form, polymat.det)
+            got = [None] * 3
+            for i in order:
+                got[i] = calls[i](m)
+            assert tuple(got) == want
+            assert echelons == [m] and divisions == [m]
+            monkeypatch.undo()
+
 
 class TestHermite:
     def test_canonical_shape(self):

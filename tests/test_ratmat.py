@@ -48,6 +48,16 @@ class TestRatMat:
         prod = m @ m.inverse()
         assert prod == RatMat.identity(2)
 
+    def test_mixed_operands_coerce(self):
+        """A rational matrix combined with a polynomial one has rational
+        entries throughout."""
+        r = rmat([[Z, RatFn(ONE, Z)]])
+        p = PolyMat([[ONE, Z]])
+        for out in (r + p, r.hstack(p), r.vstack(p), r @ p.transpose()):
+            assert type(out) is RatMat
+            assert all(type(e) is RatFn for row in out.entries for e in row)
+        assert r + p == r + RatMat.from_polymat(p)
+
     def test_polynomial_detection(self):
         m = rmat([[Z, ONE]])
         assert m.is_polynomial
@@ -394,12 +404,70 @@ class TestKeptForms:
         m = rand_ratmat(random.Random(29), 2, 2)
         twin = fresh(m)
         assert twin == m and hash(twin) == hash(m)
-        seen = record_calls(monkeypatch, ratmat, "_smith_mcmillan")
+        seen = record_calls(monkeypatch, ratmat, "_smith_mcmillan_factors")
         for x in (m, twin, m, twin):
             least_order(x)
         assert [id(x) for x in seen] == [id(m), id(twin)]
         assert smith_mcmillan(m) == smith_mcmillan(twin)
         assert smith_mcmillan(m) is not smith_mcmillan(twin)
+
+    FACTOR_QUERIES = {
+        "zero_index": lambda m: zero_index(m, 1).values,
+        "pole_index": lambda m: pole_index(m, -1).values,
+        "pole_zero_index": lambda m: pole_zero_index(m, 0).values,
+        "least_order": least_order,
+        "least_order_total": least_order_total,
+        "mcmillan_degree": mcmillan_degree,
+    }
+
+    @staticmethod
+    def cases():
+        """Random 1..3 x 1..3 inputs, and rank-deficient products through
+        a thinner middle factor."""
+        rng = random.Random(30)
+        out = [rand_ratmat(rng, rng.randint(1, 3), rng.randint(1, 3))
+               for _ in range(8)]
+        for rows, inner, cols in ((2, 1, 2), (3, 1, 2), (3, 2, 3)):
+            out.append(rand_ratmat(rng, rows, inner)
+                       @ rand_ratmat(rng, inner, cols))
+        return out
+
+    def test_factor_queries_carry_nothing(self, monkeypatch):
+        """The queries that read only the diagonal build no echelon, no
+        Smith form with E and F, and no full decomposition."""
+        for m in self.cases():
+            for name, query in self.FACTOR_QUERIES.items():
+                built = [record_calls(monkeypatch, mod, f) for mod, f in (
+                    (polymat, "_echelon"), (polymat, "_smith"),
+                    (ratmat, "_smith_mcmillan"))]
+                query(fresh(m))
+                assert built == [[], [], []], name
+                monkeypatch.undo()
+
+    def test_factor_queries_read_kept_decomposition(self, monkeypatch):
+        """With the full decomposition kept, a query on M builds nothing."""
+        for m in self.cases():
+            smith_mcmillan(m)
+            for name, query in self.FACTOR_QUERIES.items():
+                if name == "mcmillan_degree":
+                    continue  # it reads the forms of its two parts, not M's
+                built = [record_calls(monkeypatch, mod, f) for mod, f in (
+                    (polymat, "_echelon"), (polymat, "_smith"),
+                    (polymat, "_invariant_factors"),
+                    (ratmat, "_smith_mcmillan_factors"))]
+                query(m)
+                assert built == [[], [], [], []], name
+                monkeypatch.undo()
+
+    def test_factors_equal_full_decomposition(self):
+        for m in self.cases():
+            factors = ratmat._factors(fresh(m))
+            dec = smith_mcmillan(fresh(m))
+            assert factors == (dec.zero_factors, dec.pole_factors)
+            full = fresh(m)
+            smith_mcmillan(full)
+            for name, query in self.FACTOR_QUERIES.items():
+                assert query(fresh(m)) == query(full), name
 
 
 def _sym(p, z):
