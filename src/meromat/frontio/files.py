@@ -284,24 +284,16 @@ def _load_amd(lines: _Lines) -> AmdFile:
                    blocks=tuple(blocks))
 
 
-def _read_const_rows(lines: _Lines, rows: int, path: str):
-    grid = []
-    for i in range(rows):
-        line = lines.pop()
-        if line is None or not line.startswith("row "):
-            raise InputError(f"{lines.where}: expected row {i + 1} of {path}")
-        cells = [c.strip() for c in line[4:].split(";")]
-        row = []
-        for j, src in enumerate(cells):
-            value = _parse_grid_entry(src, "rational",
-                                      f"{path} row {i + 1} col {j + 1}")
-            f = RatFn.coerce(value)
+def _read_const_rows(lines: _Lines, rows: int, cols: int, path: str):
+    grid = [[RatFn.coerce(v) for v in row]
+            for row in _read_rows(lines, rows, cols, "rational", path)]
+    for i, row in enumerate(grid):
+        for j, f in enumerate(row):
             if not (f.is_polynomial and f.num.is_constant):
                 raise InputError(f"{path} row {i + 1} col {j + 1}: "
                                  "expected a rational constant")
-            row.append(f.num.constant_value().re)
-        grid.append(tuple(row))
-    return tuple(grid)
+    return tuple(tuple(f.num.constant_value().re for f in row)
+                 for row in grid)
 
 
 def _load_tds(lines: _Lines) -> TdsFile:
@@ -312,9 +304,9 @@ def _load_tds(lines: _Lines) -> TdsFile:
     tag = _expect_field(lines, "matrix")
     if tag != "A0":
         raise InputError(f"{lines.where}: TDS file must start with A0")
-    a0 = _read_const_rows(lines, r, "A0")
+    a0 = _read_const_rows(lines, r, r, "A0")
     terms = {"A": [], "B": [], "C": [], "D": []}
-    shapes = {"A": r, "B": r, "C": m, "D": m}
+    shapes = {"A": (r, r), "B": (r, n), "C": (m, r), "D": (m, n)}
     while lines.peek() is not None:
         head = _expect_field(lines, "matrix").split()
         if len(head) != 2 or head[0] not in terms:
@@ -324,14 +316,11 @@ def _load_tds(lines: _Lines) -> TdsFile:
             tau = QQ(head[1])
         except (ValueError, ZeroDivisionError):
             raise InputError(f"{lines.where}: bad delay {head[1]!r}") from None
-        mat = _read_const_rows(lines, shapes[name], f"{name} delay {tau}")
+        mat = _read_const_rows(lines, *shapes[name], f"{name} delay {tau}")
         terms[name].append((mat, tau))
-    data = TdsData(A0=a0, A_delayed=tuple(terms["A"]),
-                   B_terms=tuple(terms["B"]), C_terms=tuple(terms["C"]),
-                   D_terms=tuple(terms["D"]))
-    if data.input_dim not in (0, n) or data.output_dim not in (0, m):
-        raise InputError("TDS block dimensions do not match the dims line")
-    return TdsFile(data=data)
+    return TdsFile(data=TdsData(
+        A0=a0, A_delayed=tuple(terms["A"]), B_terms=tuple(terms["B"]),
+        C_terms=tuple(terms["C"]), D_terms=tuple(terms["D"])))
 
 
 def loads(text: str):

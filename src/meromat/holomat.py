@@ -36,7 +36,6 @@ __all__ = [
     "TdsData",
     "as_evaluable",
     "qp_is_regular",
-    "qp_transfer_closure",
     "nrank_sampled",
     "count_zeros_minus_poles",
     "roots_in_region",
@@ -222,65 +221,55 @@ class _QpTransferEvaluable:
         return (d + c @ ainv_b,
                 dd + dc @ ainv_b - c_ainv @ da @ ainv_b + c_ainv @ db)
 
-    def eval_deriv_many(self, zs):
-        return self.eval_pair_many(zs)[1]
-
     def eval(self, z: complex):
         return self.eval_many([z])[0]
 
-    def eval_deriv(self, z: complex):
-        return self.eval_deriv_many([z])[0]
 
+class _Pointwise:
+    """Node vectors for an object that evaluates one node at a time, its
+    values by `eval(z)` and its derivative by `eval_deriv(z)`."""
 
-def qp_transfer_closure(H) -> _QpTransferEvaluable:
-    return _QpTransferEvaluable(H.A, H.B, H.C, H.D)
-
-
-class _Adapted:
-    """Values and derivatives together for an object that has only
-    `eval_many`/`eval_deriv_many`, or only `eval`/`eval_deriv`."""
-
-    __slots__ = ("shape", "eval_many", "eval_deriv_many")
+    __slots__ = ("shape", "inner")
 
     def __init__(self, inner):
-        self.shape = tuple(inner.shape)
-        if hasattr(inner, "eval_many") and hasattr(inner, "eval_deriv_many"):
-            self.eval_many = inner.eval_many
-            self.eval_deriv_many = inner.eval_deriv_many
-        else:
-            self.eval_many = lambda zs: self._stack(inner.eval, zs)
-            self.eval_deriv_many = lambda zs: self._stack(inner.eval_deriv, zs)
+        self.shape, self.inner = tuple(inner.shape), inner
 
     def _stack(self, f, zs):
         zs = np.asarray(zs, dtype=complex).tolist()
         return np.array([f(z) for z in zs],
                         dtype=complex).reshape((len(zs),) + self.shape)
 
+    def eval_many(self, zs):
+        return self._stack(self.inner.eval, zs)
+
     def eval_pair_many(self, zs):
-        return self.eval_many(zs), self.eval_deriv_many(zs)
+        return self.eval_many(zs), self._stack(self.inner.eval_deriv, zs)
 
 
 def as_evaluable(M):
     """M itself when it evaluates node vectors, values (`eval_many`, arrays
     of shape (k, rows, cols)) and values with derivatives (`eval_pair_many`);
-    else an adapter, if M evaluates derivatives apart."""
+    an adapter when it evaluates one node at a time (`eval`, `eval_deriv`)."""
     if hasattr(M, "eval_many") and hasattr(M, "eval_pair_many"):
         return M
-    if (hasattr(M, "eval_many") and hasattr(M, "eval_deriv_many")
-            or hasattr(M, "eval") and hasattr(M, "eval_deriv")):
-        return _Adapted(M)
+    if hasattr(M, "eval") and hasattr(M, "eval_deriv"):
+        return _Pointwise(M)
     raise InputError(f"cannot evaluate object of type {type(M).__name__}")
 
 
 def qp_is_regular(A: QuasiPolyMat) -> bool:
-    """Sampled regularity test: det nonzero at one of 8 sample points."""
+    """Sampled regularity test: det nonzero at one of 8 sample points,
+    relative to the product of the row norms, which bounds |det| (Hadamard),
+    so that the test does not depend on the scale of A."""
     if A.rows != A.cols:
         return False
     rng = np.random.default_rng(20260823)
     for _ in range(8):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         try:
-            if abs(np.linalg.det(A.eval(z))) > 1e-12:
+            m = A.eval(z)
+            bound = np.linalg.norm(m, axis=1).prod()
+            if abs(np.linalg.det(m)) > 1e-12 * bound:
                 return True
         except AnalysisError:
             continue
@@ -582,14 +571,13 @@ class _Counted:
 
 
 def count_zeros_minus_poles(M, contour: Contour,
-                            check_boundary: bool = True,
                             samples: int = 256) -> CountResult:
-    """(1/2πi) ∮ Tr(M^{-1} M') dz, snapped to the nearest integer."""
+    """(1/2πi) ∮ Tr(M^{-1} M') dz, snapped to the nearest integer; the
+    contour is first checked at `samples` boundary points."""
     ev = _Counted(as_evaluable(M))
     if ev.shape[0] != ev.shape[1]:
         raise InputError("argument principle needs a square matrix")
-    if check_boundary:
-        _check_proximity(ev, contour, samples=samples)
+    _check_proximity(ev, contour, samples=samples)
     budget = _SubdivBudget(contour.max_subdiv)
     splits = budget.left
     raw = _integrate(_log_deriv_trace(ev), contour.segments(), contour.tol,
@@ -657,9 +645,7 @@ def _verify_cluster(ev, z: complex, mult: int, tol: float,
     for scale in (1.0, 1.7, 0.6):
         try:
             c = Contour.circle(z, radius * scale, tol=tol)
-            _check_proximity(ev, c, samples=64)
-            return count_zeros_minus_poles(ev, c,
-                                           check_boundary=False).n_minus_p == mult
+            return count_zeros_minus_poles(ev, c, samples=64).n_minus_p == mult
         except (ContourError, ConvergenceError):
             continue
     return False

@@ -426,15 +426,8 @@ class DenseMat:
             (m.rows, 2 * c), m._split, m._delay)).at(zs)
         return both[..., :c], both[..., c:]
 
-    def eval_deriv_many(self, zs):
-        """Values of the exact entrywise derivative at a vector of nodes."""
-        return self.eval_pair_many(zs)[1]
-
     def eval(self, z: complex):
         return self.eval_many([z])[0]
-
-    def eval_deriv(self, z: complex):
-        return self.eval_deriv_many([z])[0]
 
     def __repr__(self):
         return f"{type(self).__name__}({self.rows}x{self.cols})"

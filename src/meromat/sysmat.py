@@ -156,7 +156,7 @@ def transfer_function(H: Amd):
     if H.ring == "quasipoly":
         from . import holomat
 
-        return holomat.qp_transfer_closure(H)
+        return holomat._QpTransferEvaluable(H.A, H.B, H.C, H.D)
     y, delta = polymat._right_solve(H.C, H.A)
     return RatMat([[RatFn(e._plus(d, 1, delta), delta)
                     for d, e in zip(rd, ryb)]

@@ -125,7 +125,7 @@ def local_exponent_oracle(M: RatMat, lam) -> tuple:
     from meromat.exactalg import GaussRat
 
     lam = GaussRat.coerce(lam)
-    r = M.nrank()
+    r = linalg_exact.rank(M.entries)
     prev = 0
     taus = []
     for k in range(1, r + 1):

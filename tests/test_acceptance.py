@@ -18,7 +18,7 @@ from genutil import (
     rand_unimodular,
     transformed_realization,
 )
-from meromat import polymat, ratmat, sysmat
+from meromat import linalg_exact, polymat, ratmat, sysmat
 from meromat.errors import AnalysisError, ContourError, ParseError
 from meromat.exactalg import QQ, GaussRat, Poly, RatFn, poly_gcd
 from meromat.frontio import files, parse_entry, poly_to_str, qp_to_str, ratfn_to_str
@@ -229,7 +229,7 @@ def test_argument_principle_suite():
     checked = 0
     while checked < 50:
         m = rand_ratmat(rng, 2, 2)
-        if m.nrank() < 2:
+        if linalg_exact.rank(m.entries) < 2:
             continue
         dec = smith_mcmillan(m)
         cx = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
@@ -334,7 +334,7 @@ def test_local_indices_suite():
     while checked < 50:
         p = rand_polymat(rng, 2, 2, 2)
         m = RatMat.from_polymat(p)
-        if m.nrank() < 2:
+        if linalg_exact.rank(m.entries) < 2:
             continue
         lam = GaussRat(QQ(rng.randint(-2, 2)))
         exact = ratmat.pole_zero_index(m, lam).values

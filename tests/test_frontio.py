@@ -362,6 +362,22 @@ class TestFiles:
         assert tf.data.state_dim == 2
         assert tf.data.A_delayed[0][1] == QQ(1)
 
+    def test_ragged_tds_rows_rejected(self):
+        # every row has the width the dims line gives its block
+        ragged = TDS_TEXT.replace("matrix B 0\nrow 1\nrow 0\n",
+                                  "matrix B 0\nrow 1\nrow 0 ; 3\n")
+        assert ragged != TDS_TEXT
+        with pytest.raises(InputError,
+                           match="B delay 0 row 2: expected 1 entries"):
+            files.loads(ragged)
+        narrow = TDS_TEXT.replace("matrix C 0\nrow 1 ; 0\n",
+                                  "matrix C 0\nrow 1\n")
+        with pytest.raises(InputError,
+                           match="C delay 0 row 1: expected 2 entries"):
+            files.loads(narrow)
+        with pytest.raises(InputError, match="A0 row 2: expected 2 entries"):
+            files.loads(TDS_TEXT.replace("row -1 ; 0\n", "row -1\n"))
+
     def test_from_matrix_normalizes(self):
         m = PolyMat([[Z, ONE]])
         text = files.dumps(m)

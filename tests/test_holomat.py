@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from genutil import rand_ratmat
-from meromat import holomat, ratmat
+from meromat import holomat, linalg_exact, ratmat
 from meromat.errors import (
     AmbiguousRankError,
     AnalysisError,
@@ -32,6 +32,7 @@ from meromat.holomat import (
 )
 from meromat.polymat import PolyMat
 from meromat.ratmat import RatMat
+from meromat.sysmat import Amd, transfer_function
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -116,7 +117,8 @@ class TestDenseMat:
         r = RatMat.from_polymat(p)
         for z in POINTS:
             assert (p.eval(z) == r.eval(z)).all()
-            assert (p.eval_deriv(z) == r.eval_deriv(z)).all()
+            assert (p.eval_pair_many([z])[1][0]
+                    == r.eval_pair_many([z])[1][0]).all()
 
     def test_quasipoly_derivative_is_cached_and_exact(self):
         m = QuasiPolyMat([[qp([(Z, QQ(0)), (ONE, QQ(1))]), Z],
@@ -124,7 +126,7 @@ class TestDenseMat:
         for z in POINTS + POINTS:
             want = np.array([[e.derivative()(z) for e in row]
                              for row in m.entries])
-            assert (m.eval_deriv(z) == want).all()
+            assert (m.eval_pair_many([z])[1][0] == want).all()
 
 
 def rand_rpoly(rng, max_deg):
@@ -152,7 +154,7 @@ def bits(a):
 
 
 class TestBatchedEval:
-    """eval_many and eval_deriv_many against entry-by-entry evaluation."""
+    """eval_many and eval_pair_many against entry-by-entry evaluation."""
 
     @pytest.mark.parametrize("cls", MATRIX_TYPES)
     @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1), (0, 2),
@@ -165,7 +167,7 @@ class TestBatchedEval:
                      for _ in range(rows)], cols)
             zs = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
                   for _ in range(rng.randint(1, 9))]
-            vals, ders = m.eval_many(zs), m.eval_deriv_many(zs)
+            vals, ders = m.eval_many(zs), m.eval_pair_many(zs)[1]
             assert vals.shape == ders.shape == (len(zs), rows, cols)
             for k, z in enumerate(zs):
                 want = np.array([[e(z) for e in row] for row in m.entries],
@@ -176,7 +178,8 @@ class TestBatchedEval:
                 assert (bits(vals[k]) == bits(want)).all()
                 assert (bits(ders[k]) == bits(dwant)).all()
                 assert (bits(m.eval(z)) == bits(want)).all()
-                assert (bits(m.eval_deriv(z)) == bits(dwant)).all()
+                assert (bits(m.eval_pair_many([z])[1][0])
+                        == bits(dwant)).all()
 
     def test_several_delays_and_zero_entries(self):
         m = QuasiPolyMat([[qp([(Z, QQ(0)), (ONE, QQ(1)), (Z * Z, QQ(5, 2))]),
@@ -188,7 +191,7 @@ class TestBatchedEval:
             want = [[e(z) for e in row] for row in m.entries]
             dwant = [[e.derivative()(z) for e in row] for row in m.entries]
             assert (bits(m.eval_many(zs)[k]) == bits(want)).all()
-            assert (bits(m.eval_deriv_many(zs)[k]) == bits(dwant)).all()
+            assert (bits(m.eval_pair_many(zs)[1][k]) == bits(dwant)).all()
 
     def test_overflow_raises_alike(self):
         e = qp([(ONE, QQ(2))])
@@ -214,9 +217,9 @@ class TestBatchedEval:
                        A_delayed=((((0, 0), (QQ(1, 2), 0)), 1),),
                        B_terms=((((1,), (0,)), QQ(1, 3)),),
                        C_terms=((((1, 2),), 0),))
-        ev = holomat.qp_transfer_closure(build_tds_amd(data))
+        ev = transfer_function(build_tds_amd(data))
         zs = [0.3 + 0.1j, -1.2 + 0.7j, 2.0 - 0.5j]
-        vals, ders = ev.eval_many(zs), ev.eval_deriv_many(zs)
+        vals, ders = ev.eval_many(zs), ev.eval_pair_many(zs)[1]
         assert vals.shape == ders.shape == (3, 1, 1)
         h = 1e-6
         for k, z in enumerate(zs):
@@ -302,7 +305,7 @@ class TestCounting:
         checked = 0
         while checked < 10:
             m = rand_ratmat(rng, 2, 2)
-            if m.nrank() < 2:
+            if linalg_exact.rank(m.entries) < 2:
                 continue
             dec = ratmat.smith_mcmillan(m)
             cx = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -391,7 +394,7 @@ class TestLocalIndices:
         while checked < 6:
             p = rand_polymat(rng, 2, 2, 2)
             m = RatMat.from_polymat(p)
-            if m.nrank() < 2:
+            if linalg_exact.rank(m.entries) < 2:
                 continue
             exact = ratmat.pole_zero_index(m, 0).values
             if max(exact) > 8:
@@ -417,7 +420,7 @@ class FixedSamples:
     def eval_many(self, zs):
         return self.mats[:len(zs)]
 
-    def eval_deriv_many(self, zs):
+    def eval_pair_many(self, zs):
         raise AssertionError("rank sampling needs no derivative")
 
 
@@ -518,7 +521,7 @@ class TestTds:
                        C_terms=((((1,),), 0),))
         h = build_tds_amd(data)
         assert h.ring == "quasipoly"
-        ev = holomat.qp_transfer_closure(h)
+        ev = transfer_function(h)
         z0 = 1.0 + 0j
         # transfer e^{-z/2} / z
         assert abs(ev.eval(z0)[0][0] - math.exp(-0.5) / 1.0) < 1e-12
@@ -528,6 +531,33 @@ class TestTds:
                        C_terms=((((1, 1),), 0),))
         res = tds_pole_count(data, Contour.circle(0j, 1.5))
         assert res.n_minus_p == 1  # only the eigenvalue 1 is inside
+
+
+class TestRegularity:
+    """qp_is_regular does not depend on the scale of the block."""
+
+    @pytest.mark.parametrize("scale", [QQ(1), QQ(1, 10 ** 4), QQ(1, 10 ** 8)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_scaled_regular_block(self, scale, n):
+        e = qp([(Z * scale, QQ(0)), (Poly.const(-scale), QQ(1))])
+        a = QuasiPolyMat([[e if i == j else qp([]) for j in range(n)]
+                          for i in range(n)])
+        assert holomat.qp_is_regular(a)
+        b = QuasiPolyMat([[qp([(ONE, QQ(0))])] for _ in range(n)])
+        c = QuasiPolyMat([[qp([(ONE, QQ(0))]) for _ in range(n)]])
+        h = Amd(A=a, B=b, C=c, D=QuasiPolyMat.zeros(1, 1),
+                ring="quasipoly")
+        assert h.state_dim == n
+
+    @pytest.mark.parametrize("scale", [QQ(1), QQ(1, 10 ** 8)])
+    def test_rank_one_block(self, scale):
+        e = qp([(Z * scale, QQ(0)), (Poly.const(-scale), QQ(1))])
+        a = QuasiPolyMat([[e, e * 2], [e * 3, e * 6]])
+        assert not holomat.qp_is_regular(a)
+        one = QuasiPolyMat([[qp([(ONE, QQ(0))])], [qp([(ONE, QQ(0))])]])
+        with pytest.raises(SingularMatrixError):
+            Amd(A=a, B=one, C=one.transpose(),
+                D=QuasiPolyMat.zeros(1, 1), ring="quasipoly")
 
 
 class TestContourInput:
@@ -821,7 +851,10 @@ class TestPairEvaluation:
         assert vals.shape == ders.shape == (len(zs),) + m.shape
         assert bits(vals).tolist() == bits(m.eval_many(zs)).tolist()
         assert bits(ders).tolist() == bits(ref_deriv_many(m, zs)).tolist()
-        assert bits(m.eval_deriv_many(zs)).tolist() == bits(ders).tolist()
+        # one node alone gives the bits it gives in the vector
+        one = m.eval_pair_many(zs[:1])
+        assert bits(one[0]).tolist() == bits(vals[:1]).tolist()
+        assert bits(one[1]).tolist() == bits(ders[:1]).tolist()
 
     @pytest.mark.parametrize("cls", MATRIX_TYPES)
     @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1), (0, 2),
@@ -861,24 +894,29 @@ class TestPairEvaluation:
         class Many:
             shape = m.shape
             eval_many = staticmethod(m.eval_many)
-            eval_deriv_many = staticmethod(m.eval_deriv_many)
+
+            def eval_deriv_many(self, zs):
+                return m.eval_pair_many(zs)[1]
 
         class Single:
             shape = m.shape
             eval = staticmethod(m.eval)
-            eval_deriv = staticmethod(m.eval_deriv)
+
+            def eval_deriv(self, z):
+                return m.eval_pair_many([z])[1][0]
 
         assert as_evaluable(m) is m
-        for inner in (Many(), Single()):
-            vals, ders = as_evaluable(inner).eval_pair_many(zs)
-            assert (bits(vals) == bits(m.eval_many(zs))).all()
-            assert (bits(ders) == bits(m.eval_deriv_many(zs))).all()
-        with pytest.raises(InputError):
-            as_evaluable(object())
+        vals, ders = as_evaluable(Single()).eval_pair_many(zs)
+        assert (bits(vals) == bits(m.eval_many(zs))).all()
+        assert (bits(ders) == bits(m.eval_pair_many(zs)[1])).all()
+        # values and derivatives apart are no protocol of their own
+        for inner in (Many(), object()):
+            with pytest.raises(InputError):
+                as_evaluable(inner)
 
     def test_transfer_pair(self):
         h = build_tds_amd(README_TDS)
-        ev = holomat.qp_transfer_closure(h)
+        ev = transfer_function(h)
         zs = [0.3 + 0.1j, -1.2 + 0.7j, 2.0 - 0.5j]
         vals, ders = ev.eval_pair_many(zs)
         assert (bits(vals) == bits(ev.eval_many(zs))).all()

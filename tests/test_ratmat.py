@@ -12,7 +12,7 @@ from genutil import (
     rand_unimodular,
     record_calls,
 )
-from meromat import polymat, ratmat
+from meromat import linalg_exact, polymat, ratmat
 from meromat.errors import InputError, NotCoprimeError
 from meromat.exactalg import QQ, GaussRat, Poly, RatFn, poly_gcd, real_factor
 from meromat.polymat import PolyMat
@@ -45,7 +45,7 @@ def rmat(grid):
 class TestRatMat:
     def test_inverse(self):
         m = rmat([[Z, ONE], [ONE, Z]])
-        prod = m @ m.inverse()
+        prod = m @ RatMat(linalg_exact.inverse(m.entries))
         assert prod == RatMat.identity(2)
 
     def test_mixed_operands_coerce(self):
@@ -118,13 +118,24 @@ class TestRoots:
         (QQ(-7, 4), -1.75 + 1e-13j),
     ])
     def test_mixed_handles_hash_alike(self, exact, approx):
-        # equal handles, one exact and one numeric, away from a rounding
-        # boundary of the hash: one set element, and either finds the other
+        # equal handles, one exact and one numeric: one set element, and
+        # either finds the other
         ex, num = RootHandle(exact=exact), RootHandle(approx=approx)
         assert ex == num and hash(ex) == hash(num)
         assert len({ex, num}) == 1
         assert {ex: "pole"}[num] == "pole" and {num: 2}[ex] == 2
         assert {ex} - {num} == set()
+
+    @pytest.mark.parametrize("boundary", [5e-7, -5e-7, 1.5, 2.0000005])
+    def test_handles_hash_alike_across_rounding(self, boundary):
+        # equal handles on either side of a boundary of the sixth decimal
+        lo = RootHandle(approx=boundary - 1e-12)
+        hi = RootHandle(approx=boundary + 1e-12)
+        assert lo == hi and hash(lo) == hash(hi)
+        assert len({lo, hi}) == 1 and {lo} - {hi} == set()
+        tilted = RootHandle(approx=complex(boundary, boundary + 1e-12))
+        flat = RootHandle(approx=complex(boundary, boundary - 1e-12))
+        assert len({tilted, flat}) == 1
 
     def test_numeric_roots_against_mpmath(self):
         # real coefficients: real roots come back real, non-real ones in
