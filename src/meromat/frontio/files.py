@@ -15,7 +15,7 @@ from ..holomat import QuasiPolyEntry, QuasiPolyMat, TdsData
 from ..linalg_exact import DenseMat
 from ..polymat import PolyMat
 from ..ratmat import RatMat
-from ..sysmat import LAYOUTS, Amd
+from ..sysmat import Amd
 from .parser import parse_entry
 from .render import poly_to_str, qp_to_str, ratfn_to_str
 
@@ -32,6 +32,15 @@ __all__ = [
 _MATRIX_TYPES = {cls.kind: cls for cls in (PolyMat, RatMat, QuasiPolyMat)}
 _KINDS = tuple(_MATRIX_TYPES)
 _BLOCKS = ("tl", "tr", "bl", "br")
+# for each accepted layout, the AMD block written at tl, tr, bl and br,
+# with its sign; every layout describes the one AMD [[A, B], [-C, D]]
+_LAYOUTS = {
+    "standard": ("A", "B", "-C", "D"),
+    "flipped": ("D", "-C", "B", "A"),
+    "flipped-neg-b": ("D", "C", "-B", "A"),
+    "neg-b": ("A", "-B", "C", "D"),
+    "neg-a": ("-A", "B", "C", "D"),
+}
 _ALLOWED = {
     "polynomial": ("polynomial",),
     "rational": ("polynomial", "rational"),
@@ -102,19 +111,18 @@ class AmdFile:
                                neg_c.entries, H.D.entries))
 
     def amd(self) -> Amd:
-        wrap = QuasiPolyMat if self.ring == "quasipoly" else PolyMat
-        shapes = _block_shapes(self.layout, self.r, self.m, self.n)
-        tl, tr, bl, br = (wrap(g, shapes[name][1])
-                          for name, g in zip(_BLOCKS, self.blocks))
-        return Amd.from_layout_blocks(tl, tr, bl, br, layout=self.layout,
-                                      ring=self.ring)
+        wrap = _MATRIX_TYPES[self.ring]
+        shapes = _shapes(self.r, self.m, self.n)
+        blocks = {}
+        for spot, grid in zip(_LAYOUTS[self.layout], self.blocks):
+            blk = wrap(grid, shapes[spot[-1]][1])
+            blocks[spot[-1]] = -blk if spot[0] == "-" else blk
+        return Amd(**blocks)
 
 
-def _block_shapes(layout: str, r: int, m: int, n: int) -> dict:
-    """(rows, cols) of each literal block of an AMD written in a layout."""
-    if layout in ("flipped", "flipped-neg-b"):
-        return {"tl": (m, n), "tr": (m, r), "bl": (r, n), "br": (r, r)}
-    return {"tl": (r, r), "tr": (r, n), "bl": (m, r), "br": (m, n)}
+def _shapes(r: int, m: int, n: int) -> dict:
+    """(rows, cols) of the blocks A, B, C and D of an AMD or of a TDS."""
+    return {"A": (r, r), "B": (r, n), "C": (m, r), "D": (m, n)}
 
 
 @dataclass(frozen=True)
@@ -126,9 +134,8 @@ class TdsFile:
 # serialization
 
 
-def _rows_to_lines(grid) -> list:
-    return ["row " + " ; ".join(_render_entry(e) for e in row)
-            for row in grid]
+def _rows_to_lines(grid, render=_render_entry) -> list:
+    return ["row " + " ; ".join(render(e) for e in row) for row in grid]
 
 
 def _dump_matrix(mf: MatrixFile) -> str:
@@ -154,13 +161,12 @@ def _dump_tds(tf: TdsFile) -> str:
     lines = ["meromat/1 tds",
              f"dims {d.state_dim} {d.output_dim} {d.input_dim}",
              "matrix A0"]
-    lines.extend("row " + " ; ".join(str(x) for x in row) for row in d.A0)
+    lines.extend(_rows_to_lines(d.A0, str))
     for tag, terms in (("A", d.A_delayed), ("B", d.B_terms),
                        ("C", d.C_terms), ("D", d.D_terms)):
         for mat, tau in terms:
             lines.append(f"matrix {tag} {tau}")
-            lines.extend("row " + " ; ".join(str(x) for x in row)
-                         for row in mat)
+            lines.extend(_rows_to_lines(mat, str))
     return "\n".join(lines) + "\n"
 
 
@@ -268,16 +274,16 @@ def _load_amd(lines: _Lines) -> AmdFile:
         raise InputError(f"{lines.where}: malformed dims line")
     r, m, n = (int(s) for s in dims)
     layout = _expect_field(lines, "layout")
-    if layout not in LAYOUTS:
+    if layout not in _LAYOUTS:
         raise InputError(f"{lines.where}: unknown layout {layout!r}")
-    shapes = _block_shapes(layout, r, m, n)
+    shapes = _shapes(r, m, n)
     blocks = []
-    for name in _BLOCKS:
+    for name, spot in zip(_BLOCKS, _LAYOUTS[layout]):
         tag = _expect_field(lines, "block")
         if tag != name:
             raise InputError(f"{lines.where}: expected 'block {name}'")
-        rows, cols = shapes[name]
-        blocks.append(_read_rows(lines, rows, cols, ring, f"block {name}"))
+        blocks.append(_read_rows(lines, *shapes[spot[-1]], ring,
+                                 f"block {name}"))
     if lines.peek() is not None:
         raise InputError(f"{lines.where}: trailing content")
     return AmdFile(ring=ring, r=r, m=m, n=n, layout=layout,
@@ -306,7 +312,7 @@ def _load_tds(lines: _Lines) -> TdsFile:
         raise InputError(f"{lines.where}: TDS file must start with A0")
     a0 = _read_const_rows(lines, r, r, "A0")
     terms = {"A": [], "B": [], "C": [], "D": []}
-    shapes = {"A": (r, r), "B": (r, n), "C": (m, r), "D": (m, n)}
+    shapes = _shapes(r, m, n)
     while lines.peek() is not None:
         head = _expect_field(lines, "matrix").split()
         if len(head) != 2 or head[0] not in terms:

@@ -26,7 +26,7 @@ from .errors import (
 from .exactalg import QQ, GaussRat, Poly
 from .linalg_exact import DenseMat
 from .polymat import PolyMat
-from .ratmat import IndexTuple, RatMat
+from .ratmat import IndexTuple, RatMat, RootHandle
 
 __all__ = [
     "QuasiPolyEntry",
@@ -679,7 +679,11 @@ def roots_in_region(f, box, tol: float = 1e-8) -> list:
     the region; multiplicities always sum to the region count.
     """
     ev = as_evaluable(f)
-    root_box = _Box(*[float(v) for v in box])
+    try:
+        root_box = _Box(*(float(v) for v in box))
+    except (TypeError, ValueError):
+        raise InputError(f"a box is four numbers x0, x1, y0, y1, not "
+                         f"{box!r}") from None
     min_cell = max(tol * 100, 1e-10)
     total = _count_in_box(ev, root_box, tol)
     if total < 0:
@@ -729,7 +733,7 @@ def local_indices(M, point, kmax: int = 12,
     multiplicities off the rank increments of nested block-Toeplitz
     coefficient matrices.
     """
-    lam = complex(point)
+    lam = complex(point.value if isinstance(point, RootHandle) else point)
     if pole_order is None:
         pole_order = _default_pole_order(M, lam)
     s = int(pole_order)
@@ -870,7 +874,9 @@ def regional_coprime(A, B, box, side: str = "right", tol: float = 1e-8):
 @dataclass(frozen=True)
 class TdsData:
     """Data of an LTI time-delay system: constant matrices with exact
-    nonnegative delays, orderings per the state/input/output conventions."""
+    nonnegative delays, orderings per the state/input/output conventions.
+    n is the width of the B terms, else of the D terms, and m the height
+    of the C terms, else of the D terms; every term has its block's shape."""
 
     A0: tuple
     A_delayed: tuple = ()   # ((matrix, tau), ...) with 0 < tau_1 < ...
@@ -881,16 +887,11 @@ class TdsData:
     def __post_init__(self):
         object.__setattr__(self, "A0",
                            tuple(tuple(QQ(x) for x in row) for row in self.A0))
-        r = len(self.A0)
-        if any(len(row) != r for row in self.A0):
-            raise InputError("state matrix A0 must be square")
-        for name, terms, strict_pos in (("A_delayed", self.A_delayed, True),
-                                        ("B_terms", self.B_terms, False),
-                                        ("C_terms", self.C_terms, False),
-                                        ("D_terms", self.D_terms, False)):
+        for name, strict_pos in (("A_delayed", True), ("B_terms", False),
+                                 ("C_terms", False), ("D_terms", False)):
             norm = []
             prev = None
-            for mat, tau in terms:
+            for mat, tau in getattr(self, name):
                 tau = QQ(tau)
                 if strict_pos and tau <= 0:
                     raise InputError(f"{name}: delays must be positive")
@@ -902,9 +903,15 @@ class TdsData:
                 norm.append((tuple(tuple(QQ(x) for x in row) for row in mat),
                              tau))
             object.__setattr__(self, name, tuple(norm))
-        for mat, _ in self.A_delayed:
-            if len(mat) != r or any(len(row) != r for row in mat):
-                raise InputError("delayed state matrices must be r x r")
+        r, m, n = self.state_dim, self.output_dim, self.input_dim
+        if any(len(row) != r for row in self.A0):
+            raise InputError("state matrix A0 must be square")
+        for name, rows, cols in (("A_delayed", r, r), ("B_terms", r, n),
+                                 ("C_terms", m, r), ("D_terms", m, n)):
+            for mat, tau in getattr(self, name):
+                if len(mat) != rows or any(len(row) != cols for row in mat):
+                    raise InputError(f"{name}: the matrix at delay {tau} is "
+                                     f"not {rows} x {cols}")
 
     @property
     def state_dim(self) -> int:
@@ -912,43 +919,32 @@ class TdsData:
 
     @property
     def input_dim(self) -> int:
-        if not self.B_terms:
-            return 0
-        return len(self.B_terms[0][0][0])
+        terms = self.B_terms or self.D_terms
+        return len(terms[0][0][0]) if terms and terms[0][0] else 0
 
     @property
     def output_dim(self) -> int:
-        if not self.C_terms:
-            return 0
-        return len(self.C_terms[0][0])
+        terms = self.C_terms or self.D_terms
+        return len(terms[0][0]) if terms else 0
 
 
-def _qp_sum(terms, rows, cols) -> QuasiPolyMat:
-    grid = [[QuasiPolyEntry() for _ in range(cols)] for _ in range(rows)]
-    for mat, tau in terms:
-        if len(mat) != rows or any(len(row) != cols for row in mat):
-            raise InputError("inconsistent block dimensions in TDS data")
-        for i in range(rows):
-            for j in range(cols):
-                if mat[i][j]:
-                    grid[i][j] = grid[i][j] + QuasiPolyEntry(
-                        ((Poly.const(mat[i][j]), tau),))
-    return QuasiPolyMat(grid)
+def _qp_grid(terms, rows, cols) -> QuasiPolyMat:
+    """The rows x cols matrix sum of M e^{-tau z} over the terms (M, tau),
+    each entry built once from its terms."""
+    return QuasiPolyMat._of(
+        [[QuasiPolyEntry([(mat[i][j], tau) for mat, tau in terms])
+          for j in range(cols)] for i in range(rows)], cols)
 
 
 def tds_state_block(data: TdsData) -> QuasiPolyMat:
     """A(z) = zI - A0 - sum A_j e^{-tau_j z}."""
-    r = data.state_dim
     z = Poly.z()
-    grid = [[QuasiPolyEntry() for _ in range(r)] for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            p = (z if i == j else Poly.zero()) - Poly.const(data.A0[i][j])
-            terms = [(p, QQ(0))]
-            for mat, tau in data.A_delayed:
-                terms.append((Poly.const(-mat[i][j]), tau))
-            grid[i][j] = QuasiPolyEntry(terms)
-    return QuasiPolyMat(grid)
+    lead = [[(z if i == j else Poly.zero()) - Poly.const(x)
+             for j, x in enumerate(row)] for i, row in enumerate(data.A0)]
+    return _qp_grid([(lead, QQ(0))]
+                    + [([[-x for x in row] for row in mat], tau)
+                       for mat, tau in data.A_delayed],
+                    data.state_dim, data.state_dim)
 
 
 def build_tds_amd(data: TdsData):
@@ -956,14 +952,10 @@ def build_tds_amd(data: TdsData):
     from .sysmat import Amd
 
     r, n, m = data.state_dim, data.input_dim, data.output_dim
-    if n == 0 or m == 0:
+    if not (data.B_terms and data.C_terms and n and m):
         raise InputError("TDS needs at least one input and one output term")
-    a = tds_state_block(data)
-    b = _qp_sum(data.B_terms, r, n)
-    c = _qp_sum(data.C_terms, m, r)
-    d = (_qp_sum(data.D_terms, m, n) if data.D_terms
-         else QuasiPolyMat.zeros(m, n))
-    return Amd(A=a, B=b, C=c, D=d, ring="quasipoly")
+    return Amd(A=tds_state_block(data), B=_qp_grid(data.B_terms, r, n),
+               C=_qp_grid(data.C_terms, m, r), D=_qp_grid(data.D_terms, m, n))
 
 
 def tds_pole_count(data: TdsData, contour: Contour) -> CountResult:

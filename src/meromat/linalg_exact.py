@@ -94,6 +94,9 @@ def inverse(m):
 def matmul(a, b, zero, cols):
     inner = len(b)
     assert all(len(row) == inner for row in a)
+    # Poly grids (a's ring is zero's) add each term normalising only the sum
+    fused = type(zero) is Poly and all(type(e) is Poly
+                                       for row in b for e in row)
     out = []
     for row in a:
         new = []
@@ -101,7 +104,8 @@ def matmul(a, b, zero, cols):
             acc = zero
             for k in range(inner):
                 if row[k] and b[k][j]:
-                    acc = acc + row[k] * b[k][j]
+                    acc = (acc._plus(row[k], 1, b[k][j]) if fused
+                           else acc + row[k] * b[k][j])
             new.append(acc)
         out.append(new)
     return out

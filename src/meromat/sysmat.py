@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from . import polymat, ratmat
 from .errors import AnalysisError, InputError, NotCoprimeError, SingularMatrixError
-from .exactalg import Poly, RatFn
+from .exactalg import RatFn
+from .holomat import QuasiPolyMat, _QpTransferEvaluable, qp_is_regular
 from .polymat import PolyMat
 from .ratmat import Divisor, RatMat
 
@@ -35,46 +36,42 @@ __all__ = [
     "amd_order",
     "least_order_check",
     "decouple",
-    "LAYOUTS",
 ]
-
-# block arrangements accepted on input; all normalize to [[A, B], [-C, D]]
-LAYOUTS = ("standard", "flipped", "flipped-neg-b", "neg-b", "neg-a")
 
 
 class Amd:
     """Analytic matrix description [[A, B], [-C, D]] with regular state
-    block A; transfer function D + C A^{-1} B."""
+    block A; transfer function D + C A^{-1} B. Its blocks are all
+    QuasiPolyMat when any one is, else all PolyMat; `ring` reads which."""
 
-    __slots__ = ("A", "B", "C", "D", "ring")
+    __slots__ = ("A", "B", "C", "D")
 
-    def __init__(self, A, B, C, D, ring="polynomial"):
-        if ring not in ("polynomial", "rational", "quasipoly"):
-            raise InputError(f"unknown ring tag {ring!r}")
-        if ring != "quasipoly":
-            A, B, C, D = (_as_polymat(blk) for blk in (A, B, C, D))
+    def __init__(self, A, B, C, D):
+        blocks = [b if isinstance(b, QuasiPolyMat) else _as_polymat(b)
+                  for b in (A, B, C, D)]
+        if any(isinstance(b, QuasiPolyMat) for b in blocks):
+            blocks = [QuasiPolyMat.from_polymat(b) if isinstance(b, PolyMat)
+                      else b for b in blocks]
+        A, B, C, D = blocks
         r = A.rows
         if A.cols != r:
             raise InputError("state block must be square")
         if B.rows != r or C.cols != r or C.rows != D.rows or B.cols != D.cols:
             raise InputError("inconsistent AMD block dimensions")
-        if ring != "quasipoly":
+        if isinstance(A, PolyMat):
             if polymat.det(A).is_zero:
                 raise SingularMatrixError("state block is singular")
-        else:
-            from . import holomat
-
-            if not holomat.qp_is_regular(A):
-                raise SingularMatrixError("state block appears singular")
-        for name, value in zip(Amd.__slots__, (A, B, C, D, ring)):
+        elif not qp_is_regular(A):
+            raise SingularMatrixError("state block appears singular")
+        for name, value in zip(Amd.__slots__, blocks):
             object.__setattr__(self, name, value)
 
     @staticmethod
-    def _regular(A, B, C, D, ring) -> "Amd":
+    def _regular(A, B, C, D) -> "Amd":
         """An AMD built in this module whose state block is regular by
         construction: stored as given, without the determinant check."""
         h = object.__new__(Amd)
-        for name, value in zip(Amd.__slots__, (A, B, C, D, ring)):
+        for name, value in zip(Amd.__slots__, (A, B, C, D)):
             object.__setattr__(h, name, value)
         return h
 
@@ -82,7 +79,11 @@ class Amd:
         raise AttributeError("Amd is immutable")
 
     def __reduce__(self):
-        return Amd, (self.A, self.B, self.C, self.D, self.ring)
+        return Amd, (self.A, self.B, self.C, self.D)
+
+    @property
+    def ring(self) -> str:
+        return self.A.kind  # "polynomial" or "quasipoly"
 
     @property
     def state_dim(self) -> int:
@@ -96,39 +97,18 @@ class Amd:
     def input_dim(self) -> int:
         return self.B.cols
 
-    @staticmethod
-    def from_layout_blocks(tl, tr, bl, br, layout="standard",
-                           ring="polynomial") -> "Amd":
-        """Build from the four literal blocks of a system matrix written in
-        one of the accepted arrangements."""
-        if layout == "standard":
-            a, b, c, d = tl, tr, -bl, br
-        elif layout == "flipped":
-            a, b, c, d = br, bl, -tr, tl
-        elif layout == "flipped-neg-b":
-            a, b, c, d = br, -bl, tr, tl
-        elif layout == "neg-b":
-            a, b, c, d = tl, -tr, bl, br
-        elif layout == "neg-a":
-            a, b, c, d = -tl, tr, bl, br
-        else:
-            raise InputError(f"unknown layout {layout!r}")
-        return Amd(a, b, c, d, ring=ring)
-
     def system_matrix(self) -> PolyMat:
-        if self.ring == "quasipoly":
-            raise InputError("polynomial system matrix of a quasipoly AMD")
+        _need_polynomial("system_matrix", self)
         return PolyMat.block([[self.A, self.B], [-self.C, self.D]])
 
     def __eq__(self, other):
         if not isinstance(other, Amd):
             return NotImplemented
-        return (self.ring == other.ring and self.A == other.A
-                and self.B == other.B and self.C == other.C
-                and self.D == other.D)
+        return (self.A == other.A and self.B == other.B
+                and self.C == other.C and self.D == other.D)
 
     def __hash__(self):
-        return hash((self.A, self.B, self.C, self.D, self.ring))
+        return hash((self.A, self.B, self.C, self.D))
 
     def __repr__(self):
         return (f"Amd(r={self.state_dim}, m={self.output_dim}, "
@@ -139,12 +119,17 @@ def _as_polymat(block) -> PolyMat:
     if isinstance(block, PolyMat):
         return block
     if isinstance(block, RatMat):
-        # rational-ring AMDs are accepted when the entries are polynomial;
+        # rational blocks are accepted when the entries are polynomial;
         # genuinely rational blocks have no exact Smith-form theory here
         if not block.is_polynomial:
             raise InputError("AMD blocks must have polynomial entries")
         return block.to_polymat()
     return PolyMat(block)
+
+
+def _need_polynomial(what: str, *amds) -> None:
+    if any(H.ring == "quasipoly" for H in amds):
+        raise InputError(f"{what} needs polynomial blocks")
 
 
 def transfer_function(H: Amd):
@@ -154,9 +139,7 @@ def transfer_function(H: Amd):
     reads off the echelon of A that `Amd(...)` keeps from its regularity
     check: no rational-function matrix is inverted."""
     if H.ring == "quasipoly":
-        from . import holomat
-
-        return holomat._QpTransferEvaluable(H.A, H.B, H.C, H.D)
+        return _QpTransferEvaluable(H.A, H.B, H.C, H.D)
     y, delta = polymat._right_solve(H.C, H.A)
     return RatMat([[RatFn(e._plus(d, 1, delta), delta)
                     for d, e in zip(rd, ryb)]
@@ -166,8 +149,7 @@ def transfer_function(H: Amd):
 
 def is_irreducible(H: Amd) -> bool:
     """A, C right coprime and A, B left coprime."""
-    if H.ring == "quasipoly":
-        raise InputError("use holomat.regional_coprime for quasipoly AMDs")
+    _need_polynomial("is_irreducible", H)
     ok_out, _ = polymat.are_right_coprime(H.A, H.C)
     if not ok_out:
         return False
@@ -306,7 +288,7 @@ def _dual(H: Amd) -> Amd:
     function. A witness H1 ~ H2 transposes to the witness
     (N^T, M^T, -Y^T, -X^T) for dual(H2) ~ dual(H1)."""
     return Amd._regular(A=H.A.transpose(), B=H.C.transpose(),
-                        C=H.B.transpose(), D=H.D.transpose(), ring=H.ring)
+                        C=H.B.transpose(), D=H.D.transpose())
 
 
 def _rmf(H: Amd):
@@ -329,7 +311,7 @@ def _rmf(H: Amd):
     x_blk = c @ t1 - d @ m_blk
     # det D_R is a nonzero constant times det A
     s = Amd._regular(A=d_r, B=PolyMat.identity(n), C=n_r,
-                     D=PolyMat.zeros(H.output_dim, n), ring=H.ring)
+                     D=PolyMat.zeros(H.output_dim, n))
     # A t2 + B D_R = 0 (from T T^-1 = I) makes [[B, 0], [D, I]] S equal to
     # H [[-t2, 0], [0, I]]; [t2; D_R] is a column block of a unimodular
     # matrix, so D_R, t2 are right coprime
@@ -340,8 +322,7 @@ def _rmf(H: Amd):
 def to_rmf(H: Amd):
     """Reduce an AMD with left coprime (A, B) to an RMF-system matrix
     [[D_R, I], [-N_R, 0]], returning the fse witness."""
-    if H.ring == "quasipoly":
-        raise InputError("to_rmf needs polynomial blocks")
+    _need_polynomial("to_rmf", H)
     try:
         s, w, _ = _rmf(H)
     except NotCoprimeError:
@@ -354,8 +335,7 @@ def to_lmf(H: Amd):
     """Reduce an AMD with right coprime (A, C) to an LMF-system matrix
     [[D_L, N_L], [-I, 0]], returning the fse witness: the dual of the RMF
     reduction of the dual AMD."""
-    if H.ring == "quasipoly":
-        raise InputError("to_lmf needs polynomial blocks")
+    _need_polynomial("to_lmf", H)
     try:
         s, _, back = _rmf(_dual(H))
     except NotCoprimeError:
@@ -371,8 +351,7 @@ def equate_irreducible(H1: Amd, H2: Amd):
     function (Rosenbrock's theorem); None when the transfers differ.
     Composes H1 ~ S1 ~ S2 ~ H2 through the RMF systems S1, S2, which are
     related by the unimodular factor of their coprime MFDs."""
-    if H1.ring == "quasipoly" or H2.ring == "quasipoly":
-        raise InputError("equate_irreducible needs polynomial blocks")
+    _need_polynomial("equate_irreducible", H1, H2)
     if not (is_irreducible(H1) and is_irreducible(H2)):
         raise InputError("equate_irreducible needs irreducible AMDs")
     if transfer_function(H1) != transfer_function(H2):
@@ -394,8 +373,7 @@ def equate_irreducible(H1: Amd, H2: Amd):
 
 def amd_order(H: Amd) -> Divisor:
     """∂_A: the divisor of zeros of det A."""
-    if H.ring == "quasipoly":
-        raise InputError("amd_order needs polynomial blocks")
+    _need_polynomial("amd_order", H)
     return Divisor.of_zeros(polymat.det(H.A))
 
 
@@ -434,14 +412,13 @@ class DecouplingReport:
 def decouple(H: Amd) -> DecouplingReport:
     """Strip decoupling zeros: A = Q_L Â Q_R with the reduced AMD
     irreducible and the transfer function unchanged."""
-    if H.ring == "quasipoly":
-        raise InputError("decouple needs polynomial blocks")
+    _need_polynomial("decouple", H)
     a, b, c, d = H.A, H.B, H.C, H.D
     left = polymat.gcld(a, b)
     q_l, a_tilde, b_hat = left.D, left.Q1, left.Q2
     right = polymat.gcrd(a_tilde, c)
     q_r, a_hat, c_hat = right.D, right.Q1, right.Q2
-    reduced = Amd(A=a_hat, B=b_hat, C=c_hat, D=d, ring=H.ring)
+    reduced = Amd(A=a_hat, B=b_hat, C=c_hat, D=d)
 
     input_div = Divisor.of_zeros(polymat.det(q_l))
     out_gcrd = polymat.gcrd(a, c).D

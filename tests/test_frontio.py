@@ -356,6 +356,57 @@ class TestFiles:
         back = files.loads(files.dumps(af))
         assert back == af and back.amd() == h
 
+    def test_amd_layouts_agree(self):
+        # one AMD written in every layout, B, C and D of three shapes; the
+        # blocks each layout writes are spelled out here, apart from the
+        # file module's table
+        a = PolyMat([[Z, ONE], [Poly.zero(), Z]])
+        b = PolyMat([[ONE, Z, Poly.zero()], [Z, ONE, ONE]])
+        c = PolyMat([[Z + ONE, ONE]])
+        d = PolyMat([[ONE, Poly.zero(), Z]])
+        h = Amd(A=a, B=b, C=c, D=d)
+        written = {
+            "standard": (a, b, -c, d),       # [[A, B], [-C, D]]
+            "flipped": (d, -c, b, a),        # [[D, -C], [B, A]]
+            "flipped-neg-b": (d, c, -b, a),  # [[D, C], [-B, A]]
+            "neg-b": (a, -b, c, d),          # [[A, -B], [C, D]]
+            "neg-a": (-a, b, c, d),          # [[-A, B], [C, D]]
+        }
+        for layout, blocks in written.items():
+            text = (f"meromat/1 amd\nring polynomial\ndims 2 1 3\n"
+                    f"layout {layout}\n")
+            for name, blk in zip(("tl", "tr", "bl", "br"), blocks):
+                text += f"block {name}\n" + "".join(
+                    "row " + " ; ".join(poly_to_str(e) for e in row) + "\n"
+                    for row in blk.entries)
+            af = files.loads(text)
+            assert af.amd() == h, layout
+            assert files.dumps(af) == text, layout
+
+    def test_rational_ring_amd(self):
+        # a rational-ring file gives rational blocks; polynomial entries
+        # make an AMD, a proper fraction is refused
+        text = AMD_TEXT.replace("ring polynomial", "ring rational")
+        af = files.loads(text.replace(
+            "row 0 ; z\nblock tr", "row 0 ; (z^2 - 1)/(z - 1) - 1\nblock tr"))
+        assert af.amd() == files.loads(AMD_TEXT).amd()
+        assert files.dumps(af) == text
+        bad = AMD_TEXT.replace("ring polynomial", "ring rational").replace(
+            "block br\nrow 0", "block br\nrow (1)/(z + 1)")
+        with pytest.raises(InputError, match="polynomial entries"):
+            files.loads(bad).amd()
+
+    @pytest.mark.parametrize("data", [
+        TdsData(A0=((0, 1), (-1, 0)), C_terms=((((1, 0),), 0),),
+                D_terms=((((1, 2),), 0), (((0, QQ(1, 2)),), 1))),
+        TdsData(A0=((0, 1), (-1, 0)), B_terms=((((1,), (0,)), 0),),
+                D_terms=((((1,), (3,)), 0),)),
+    ])
+    def test_tds_sizes_from_d_terms_round_trip(self, data):
+        text = files.dumps(data)
+        back = files.loads(text)
+        assert back.data == data and files.dumps(back) == text
+
     def test_tds_round_trip(self):
         tf = files.loads(TDS_TEXT)
         assert files.dumps(tf) == TDS_TEXT
@@ -506,6 +557,15 @@ class TestCli:
         assert res.returncode == 2
         assert res.stderr.startswith("error: ")
         assert "bad region value" in res.stderr
+
+    def test_rational_amd_entry_exits_2(self, workdir):
+        (workdir / "r.mm").write_text(
+            AMD_TEXT.replace("ring polynomial", "ring rational").replace(
+                "block br\nrow 0", "block br\nrow (1)/(z+1)"))
+        res = run_cli("amd", "check", "r.mm", cwd=workdir)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert "polynomial entries" in res.stderr
 
     def test_wrong_kind_exits_2(self, workdir):
         res = run_cli("smith-mcmillan", "t.mm", cwd=workdir)

@@ -409,6 +409,19 @@ class TestLocalIndices:
         with pytest.raises(ConvergenceError):
             local_indices(m, 0, kmax=2)
 
+    def test_root_handle_point(self):
+        # a handle from poly_roots names an irrational pole, which
+        # pole_zero_index cannot take; the index is read at its value and
+        # reported at the handle
+        m = RatMat([[RatFn(ONE, Z * Z - 2)]])
+        roots = ratmat.poly_roots(Z * Z - 2)
+        assert len(roots) == 2
+        for h, _ in roots:
+            res = local_indices(m, h, pole_order=1)
+            assert res.values == (-1,)
+            assert res.point is h
+            assert local_indices(m, h.value, pole_order=1).values == (-1,)
+
 
 class FixedSamples:
     """Returns the given matrices, one per node, whatever the nodes."""
@@ -499,6 +512,17 @@ class TestRegionalCoprime:
         assert any(abs(z) < 1e-6 for z in bad)
 
 
+@pytest.mark.parametrize("box", [(0, 1, 0), (0, 1, 0, 1, 2), 3,
+                                 (0, 1, 0, "y"), (0, 1, 0, 1j)])
+def test_malformed_box_is_input_error(box):
+    a = QuasiPolyMat([[qp([(Z, QQ(0))])]])
+    b = QuasiPolyMat([[qp([(ONE, QQ(0))])]])
+    with pytest.raises(InputError, match="box is four numbers"):
+        roots_in_region(a, box)
+    with pytest.raises(InputError, match="box is four numbers"):
+        regional_coprime(a, b, box)
+
+
 class TestTds:
     def test_validation(self):
         with pytest.raises(InputError):
@@ -508,6 +532,37 @@ class TestTds:
         with pytest.raises(InputError):
             TdsData(A0=((0,),),
                     B_terms=((((1,),), 1), (((1,),), 1)))  # not increasing
+
+    def test_sizes_from_terms(self):
+        # n from the B terms or else the D terms, m from the C terms or
+        # else the D terms
+        d_only = TdsData(A0=((0,),), D_terms=((((1, 2),), 0),))
+        assert (d_only.state_dim, d_only.output_dim, d_only.input_dim) == \
+            (1, 1, 2)
+        b_and_d = TdsData(A0=((0,),), B_terms=((((1, 0, 0),), 0),),
+                          D_terms=((((1, 2, 3), (4, 5, 6)), 1),))
+        assert (b_and_d.output_dim, b_and_d.input_dim) == (2, 3)
+        assert (TdsData(A0=((0,),)).output_dim,
+                TdsData(A0=((0,),)).input_dim) == (0, 0)
+
+    def test_term_shapes_checked(self):
+        with pytest.raises(InputError, match="B_terms"):
+            TdsData(A0=((0,),), B_terms=((((1,),), 0), (((1, 2),), 1)))
+        with pytest.raises(InputError, match="C_terms"):
+            TdsData(A0=((0, 1), (1, 0)), C_terms=((((1,),), 0),))
+        with pytest.raises(InputError, match="D_terms"):
+            TdsData(A0=((0,),), B_terms=((((1,),), 0),),
+                    C_terms=((((1,),), 0),), D_terms=((((1, 2),), 0),))
+        with pytest.raises(InputError, match="A_delayed"):
+            TdsData(A0=((0,),), A_delayed=((((1, 0),), 1),))
+
+    def test_amd_needs_input_and_output_terms(self):
+        for data in (TdsData(A0=((0,),), C_terms=((((1,),), 0),),
+                             D_terms=((((1,),), 0),)),
+                     TdsData(A0=((0,),), B_terms=((((1,),), 0),),
+                             D_terms=((((1,),), 0),))):
+            with pytest.raises(InputError, match="input and one output"):
+                build_tds_amd(data)
 
     def test_state_block(self):
         data = TdsData(A0=((2,),), A_delayed=(((( -3,),), 1),))
@@ -545,8 +600,7 @@ class TestRegularity:
         assert holomat.qp_is_regular(a)
         b = QuasiPolyMat([[qp([(ONE, QQ(0))])] for _ in range(n)])
         c = QuasiPolyMat([[qp([(ONE, QQ(0))]) for _ in range(n)]])
-        h = Amd(A=a, B=b, C=c, D=QuasiPolyMat.zeros(1, 1),
-                ring="quasipoly")
+        h = Amd(A=a, B=b, C=c, D=QuasiPolyMat.zeros(1, 1))
         assert h.state_dim == n
 
     @pytest.mark.parametrize("scale", [QQ(1), QQ(1, 10 ** 8)])
@@ -557,7 +611,7 @@ class TestRegularity:
         one = QuasiPolyMat([[qp([(ONE, QQ(0))])], [qp([(ONE, QQ(0))])]])
         with pytest.raises(SingularMatrixError):
             Amd(A=a, B=one, C=one.transpose(),
-                D=QuasiPolyMat.zeros(1, 1), ring="quasipoly")
+                D=QuasiPolyMat.zeros(1, 1))
 
 
 class TestContourInput:

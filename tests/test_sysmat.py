@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from genutil import (
 from meromat import linalg_exact, polymat, ratmat, sysmat
 from meromat.errors import InputError, NotCoprimeError, SingularMatrixError
 from meromat.exactalg import QQ, Poly, RatFn
-from meromat.holomat import TdsData, build_tds_amd
+from meromat.holomat import QuasiPolyMat, TdsData, build_tds_amd
 from meromat.polymat import PolyMat
 from meromat.ratmat import Divisor, Mfd, RatMat
 from meromat.sysmat import (
@@ -64,24 +65,23 @@ class TestAmd:
             Amd(A=a, B=PolyMat.zeros(2, 1), C=PolyMat.zeros(1, 2),
                 D=PolyMat.zeros(1, 1))
 
-    def test_layouts_agree(self):
+    def test_ring_from_blocks(self):
         h = simple_amd()
-        sm = h.system_matrix()
-        tl = sm.submatrix(slice(0, 2), slice(0, 2))
-        tr = sm.submatrix(slice(0, 2), slice(2, None))
-        bl = sm.submatrix(slice(2, None), slice(0, 2))
-        br = sm.submatrix(slice(2, None), slice(2, None))
-        # sm has blocks tl = A, tr = B, bl = -C, br = D
-        variants = {
-            "standard": (tl, tr, bl, br),          # [[A, B], [-C, D]]
-            "flipped": (br, bl, tr, tl),           # [[D, -C], [B, A]]
-            "flipped-neg-b": (br, -bl, -tr, tl),   # [[D, C], [-B, A]]
-            "neg-b": (tl, -tr, -bl, br),           # [[A, -B], [C, D]]
-            "neg-a": (-tl, tr, -bl, br),           # [[-A, B], [C, D]]
-        }
-        for layout, blocks in variants.items():
-            rebuilt = Amd.from_layout_blocks(*blocks, layout=layout)
-            assert rebuilt == h, layout
+        assert h.ring == "polynomial"
+        # any quasi-polynomial block makes every block quasi-polynomial
+        a = QuasiPolyMat.from_polymat(h.A)
+        q = Amd(A=a, B=h.B, C=RatMat.from_polymat(h.C), D=h.D)
+        assert q.ring == "quasipoly"
+        assert all(isinstance(b, QuasiPolyMat) for b in (q.A, q.B, q.C, q.D))
+        assert q == Amd(A=a, B=QuasiPolyMat.from_polymat(h.B),
+                        C=QuasiPolyMat.from_polymat(h.C),
+                        D=QuasiPolyMat.from_polymat(h.D))
+        assert q != h and pickle.loads(pickle.dumps(q)) == q
+        # rational blocks are kept when polynomial, else refused
+        assert Amd(A=RatMat.from_polymat(h.A), B=h.B, C=h.C, D=h.D) == h
+        with pytest.raises(InputError, match="polynomial entries"):
+            Amd(A=h.A, B=RatMat([[RatFn(ONE, Z), RatFn(0)],
+                                 [RatFn(0), RatFn(1)]]), C=h.C, D=h.D)
 
     def test_transfer(self):
         h = simple_amd()
@@ -141,6 +141,12 @@ class TestEquivalence:
             to_lmf(h)
         with pytest.raises(InputError, match="to_rmf needs polynomial blocks"):
             to_rmf(h)
+        for fn in (is_irreducible, amd_order, decouple, least_order_check,
+                   Amd.system_matrix):
+            with pytest.raises(InputError, match="needs polynomial blocks"):
+                fn(h)
+        with pytest.raises(InputError, match="equate_irreducible needs"):
+            equate_irreducible(simple_amd(), h)
 
     def test_fse_rse_round_trip(self):
         rng = random.Random(33)
