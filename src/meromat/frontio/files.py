@@ -304,8 +304,9 @@ def _read_const_rows(lines: _Lines, rows: int, cols: int, path: str):
 
 def _load_tds(lines: _Lines) -> TdsFile:
     dims = _expect_field(lines, "dims").split()
+    where = lines.where
     if len(dims) != 3 or not all(s.isdigit() for s in dims):
-        raise InputError(f"{lines.where}: malformed dims line")
+        raise InputError(f"{where}: malformed dims line")
     r, m, n = (int(s) for s in dims)
     tag = _expect_field(lines, "matrix")
     if tag != "A0":
@@ -324,9 +325,15 @@ def _load_tds(lines: _Lines) -> TdsFile:
             raise InputError(f"{lines.where}: bad delay {head[1]!r}") from None
         mat = _read_const_rows(lines, *shapes[name], f"{name} delay {tau}")
         terms[name].append((mat, tau))
-    return TdsFile(data=TdsData(
-        A0=a0, A_delayed=tuple(terms["A"]), B_terms=tuple(terms["B"]),
-        C_terms=tuple(terms["C"]), D_terms=tuple(terms["D"])))
+    data = TdsData(A0=a0, A_delayed=tuple(terms["A"]),
+                   B_terms=tuple(terms["B"]), C_terms=tuple(terms["C"]),
+                   D_terms=tuple(terms["D"]))
+    # n and m come from the terms: a dims line they contradict won't round-trip
+    got = (data.state_dim, data.output_dim, data.input_dim)
+    if got != (r, m, n):
+        raise InputError(f"{where}: dims {r} {m} {n}, but the terms give "
+                         "dims {} {} {}".format(*got))
+    return TdsFile(data=data)
 
 
 def loads(text: str):

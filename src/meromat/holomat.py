@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -285,27 +286,43 @@ def _numeric_rank(mat, scale: float | None = None) -> int:
     all-noise matrices are not self-normalized into full rank."""
     if mat.size == 0:
         return 0
-    return _rank_of(np.linalg.svd(mat, compute_uv=False), scale)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    ref = svals[0] if scale is None else scale
+    rank = _band_ranks(svals[None], np.array([ref]))[0]
+    if rank < 0:
+        raise AmbiguousRankError(f"a singular value of {list(svals)} "
+                                 "falls in the ambiguity band")
+    return int(rank)
 
 
-def _rank_of(svals, scale: float | None = None) -> int:
-    """Numeric rank from descending singular values (see _numeric_rank)."""
-    top = svals[0] if len(svals) else 0.0
-    ref = top if scale is None else max(scale, 0.0)
-    if ref == 0.0:
-        return 0
-    in_band = [s for s in svals
-               if _RANK_BAND[0] * ref < s < _RANK_BAND[1] * ref]
-    if in_band:
-        raise AmbiguousRankError(
-            f"singular values {in_band} fall in the ambiguity band")
-    return int(sum(1 for s in svals if s > _RANK_ZERO * ref))
+def _band_ranks(svals, refs):
+    """Rank of each row of descending singular values relative to its entry
+    of `refs` (0 if that is not positive); -1 if a value is in the band."""
+    refs = refs[:, None]
+    ambiguous = ((_RANK_BAND[0] * refs < svals)
+                 & (svals < _RANK_BAND[1] * refs)).any(axis=1)
+    ranks = ((svals > _RANK_ZERO * refs) & (refs > 0)).sum(axis=1)
+    return np.where(ambiguous, -1, ranks)
+
+
+def _max_rank(mats) -> int:
+    """Largest rank of the samples (k, rows, cols) that have one, each with
+    rows, then columns, scaled to unit max-norm, so that no full-rank sample
+    is ambiguous by its scaling alone; AmbiguousRankError if none has."""
+    for axis in (2, 1):
+        norm = np.abs(mats).max(axis=axis, keepdims=True, initial=0.0)
+        mats = mats / np.where(norm > 0, norm, 1.0)
+    # a sample that is not finite would fail the SVD of the whole stack
+    mats = mats[np.isfinite(mats).all(axis=(1, 2))]
+    svals = np.linalg.svd(mats, compute_uv=False)
+    ranks = _band_ranks(svals, svals.max(axis=1, initial=0.0))
+    if not (ranks >= 0).any():
+        raise AmbiguousRankError(f"no rank at any of {len(mats)} samples")
+    return int(ranks.max())
 
 
 def nrank_sampled(M) -> int:
-    """Max numeric rank over 16 deterministic pseudo-random sample points,
-    skipping points that cannot be evaluated or ranked; AmbiguousRankError
-    when none is left."""
+    """_max_rank at those of 16 fixed random points that can be evaluated."""
     ev = as_evaluable(M)
     rng = np.random.default_rng(715225741)
     zs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(16)]
@@ -314,31 +331,9 @@ def nrank_sampled(M) -> int:
     except AnalysisError:  # skip only the points that cannot be evaluated
         mats = []
         for z in zs:
-            try:
+            with contextlib.suppress(AnalysisError):
                 mats.append(ev.eval_many([z])[0])
-            except AnalysisError:
-                continue
-    # scale each sample's rows, then its columns, to unit max-norm, so that
-    # no full-rank sample is ambiguous by its scaling alone
-    mats = np.reshape(mats, (-1,) + ev.shape)
-    for axis in (2, 1):
-        norm = np.abs(mats).max(axis=axis, keepdims=True, initial=0.0)
-        mats = mats / np.where(norm > 0, norm, 1.0)
-    try:
-        svals = np.linalg.svd(mats, compute_uv=False)
-    except np.linalg.LinAlgError:  # one bad point fails the whole stack
-        svals = []
-        for m in mats:
-            with contextlib.suppress(np.linalg.LinAlgError):
-                svals.append(np.linalg.svd(m, compute_uv=False))
-    ranks = []
-    for row in svals:
-        with contextlib.suppress(AmbiguousRankError):
-            ranks.append(_rank_of(row))
-    if not ranks:
-        raise AmbiguousRankError(
-            "no rank at any of 16 sample points")
-    return max(ranks)
+    return _max_rank(np.reshape(mats, (-1,) + ev.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +726,9 @@ def local_indices(M, point, kmax: int = 12,
     Multiplies by (z - point)^s to clear a pole of order s, Taylor-expands
     on the circle of radius 0.1 about the point, and reads partial
     multiplicities off the rank increments of nested block-Toeplitz
-    coefficient matrices.
+    coefficient matrices. Their number, the normal rank of M, is read from
+    16 of the same samples by nrank_sampled's rule: the rank drops only at
+    isolated points, and the circle must already avoid the poles of M.
     """
     lam = complex(point.value if isinstance(point, RootHandle) else point)
     if pole_order is None:
@@ -739,16 +736,13 @@ def local_indices(M, point, kmax: int = 12,
     s = int(pole_order)
     ev = as_evaluable(M)
     rows, cols = ev.shape
-    r = nrank_sampled(ev)
     nsamp = 1 << max(8, (kmax + 1).bit_length() + 2)
+    ws, wss = _circle_powers(nsamp, s)
+    vals = ev.eval_many(lam + 0.1 * ws)
+    r = _max_rank(vals[::nsamp // 16])
     # coefficients of (rho w)^s N(lam + rho w) in w: same local exponents,
     # numerically balanced
-    theta = 2 * math.pi * np.arange(nsamp) / nsamp
-    ws = np.exp(1j * theta)
-    # scalar powers: numpy's array power squares by another rounding
-    vals = (ev.eval_many(lam + 0.1 * ws)
-            * np.array([w ** s for w in ws])[:, None, None])
-    coeffs = np.fft.fft(vals, axis=0) / nsamp
+    coeffs = np.fft.fft(vals * wss[:, None, None], axis=0) / nsamp
     # rank thresholds are relative to the largest coefficient overall, so
     # Toeplitz blocks made of pure truncation noise stay rank zero
     scale = float(np.abs(coeffs).max())
@@ -771,6 +765,16 @@ def local_indices(M, point, kmax: int = 12,
         f"kmax = {kmax} too small: found {len(alphas)} of {r} indices")
 
 
+@functools.lru_cache(maxsize=32)
+def _circle_powers(nsamp: int, s: int) -> tuple:
+    """The nodes w = exp(2 pi i k / nsamp) and their scalar powers w^s
+    (numpy's array power rounds differently), read-only."""
+    ws = np.exp(1j * (2 * math.pi * np.arange(nsamp) / nsamp))
+    wss = np.array([w ** s for w in ws])
+    ws.flags.writeable = wss.flags.writeable = False
+    return ws, wss
+
+
 def _default_pole_order(M, lam: complex) -> int:
     """For a RatMat, the largest multiplicity in an entry denominator of
     the rational point nearest lam (denominators up to 10^12); else 0.
@@ -786,12 +790,12 @@ def _default_pole_order(M, lam: complex) -> int:
     dens = {e.den for row in M.entries for e in row if not e.den.is_constant}
     order = 0
     for p in dens:
-        if not p.eval_exact(ex):
-            order = max(order, p.multiplicity_at(ex))
-        elif _numerically_zero(p, lam):
+        k = p.multiplicity_at(ex)
+        if not k and _numerically_zero(p, lam):
             raise InputError(
                 f"an entry denominator is numerically zero at {lam} but "
                 "vanishes at no nearby rational point; give pole_order")
+        order = max(order, k)
     return order
 
 

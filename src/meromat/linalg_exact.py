@@ -237,9 +237,10 @@ class DenseMat:
     itself, so that code reading `type(M).__slots__` sees the fields of a
     matrix. Matrices of different subclasses never compare equal, even with
     equal entries. A matrix with no rows keeps the column count `cols` that
-    its constructor is given. The constructor coerces every entry and
-    checks the rows; `_of` builds a matrix from entries already of the
-    ring, as sums, products and eliminations produce them.
+    its constructor is given. The constructor coerces every entry (one it
+    cannot take is an InputError naming its row and column) and checks the
+    rows; `_of` builds a matrix from entries already of the ring, as sums,
+    products and eliminations produce them.
 
     Forms derived from a matrix are built on first use and kept in one
     slot, `_kept`, through `_keep`: the numeric forms of M and of [M | M']
@@ -267,7 +268,18 @@ class DenseMat:
 
     def __init__(self, entries, cols=0):
         coerce = self.entry.coerce
-        grid = tuple(tuple(coerce(e) for e in row) for row in entries)
+        try:
+            grid = tuple(tuple(coerce(e) for e in row) for row in entries)
+        except (TypeError, ValueError):
+            for i, row in enumerate(entries):
+                for j, e in enumerate(row):
+                    try:
+                        coerce(e)
+                    except (TypeError, ValueError) as exc:
+                        raise InputError(
+                            f"{self.kind} matrix row {i + 1} col {j + 1}: "
+                            f"cannot take entry {e!r} ({exc})") from None
+            raise
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise InputError(f"ragged {self.kind} matrix")
         self._fill(grid, cols)

@@ -413,6 +413,16 @@ class TestFiles:
         assert tf.data.state_dim == 2
         assert tf.data.A_delayed[0][1] == QQ(1)
 
+    def test_tds_dims_must_match_terms(self):
+        # no B or D term carries the 2 inputs the dims line names, so the
+        # loaded data would dump as dims 1 1 0
+        text = ("meromat/1 tds\ndims 1 1 2\nmatrix A0\nrow 1\n"
+                "matrix C 0\nrow 1\n")
+        with pytest.raises(InputError, match="line 2: dims 1 1 2"):
+            files.loads(text)
+        ok = text.replace("dims 1 1 2", "dims 1 1 0")
+        assert files.dumps(files.loads(ok)) == ok
+
     def test_ragged_tds_rows_rejected(self):
         # every row has the width the dims line gives its block
         ragged = TDS_TEXT.replace("matrix B 0\nrow 1\nrow 0\n",

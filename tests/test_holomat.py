@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from genutil import rand_ratmat
+import meromat
+from genutil import rand_ratfn, rand_ratmat
 from meromat import holomat, linalg_exact, ratmat
 from meromat.errors import (
     AmbiguousRankError,
@@ -14,7 +19,7 @@ from meromat.errors import (
     InputError,
     SingularMatrixError,
 )
-from meromat.exactalg import QQ, GaussRat, Poly, RatFn
+from meromat.exactalg import QQ, GaussRat, Poly, RatFn, real_factor
 from meromat.holomat import (
     Contour,
     QuasiPolyEntry,
@@ -36,6 +41,8 @@ from meromat.sysmat import Amd, transfer_function
 
 Z = Poly.z()
 ONE = Poly.one()
+# the directory that holds the imported package, for child interpreters
+PACKAGE_ROOT = str(Path(meromat.__file__).resolve().parents[1])
 
 
 def qp(terms):
@@ -421,6 +428,127 @@ class TestLocalIndices:
             assert res.values == (-1,)
             assert res.point is h
             assert local_indices(m, h.value, pole_order=1).values == (-1,)
+
+
+def oracle_cases():
+    """40 seeded random rational matrices, 2x2, 3x2 and 2x3; every fourth
+    is an outer product, of rank 1 (or 0), and every other has its first
+    row times (z - a)^k, a zero at a in -2..2 of order k = 1 or 2."""
+    rng = random.Random(20261020)
+    cases = []
+    for k in range(40):
+        rows, cols = ((2, 2), (3, 2), (2, 3))[k % 3]
+        if k % 4 == 3:
+            u = [rand_ratfn(rng) for _ in range(rows)]
+            v = [rand_ratfn(rng) for _ in range(cols)]
+            grid = [[a * b for b in v] for a in u]
+        else:
+            grid = [list(row) for row in rand_ratmat(rng, rows, cols).entries]
+        if k % 2:
+            f = RatFn.coerce((Z - ONE.scale(QQ(rng.randint(-2, 2))))
+                             ** rng.randint(1, 2))
+            grid[0] = [f * e for e in grid[0]]
+        cases.append(RatMat(grid))
+    return cases
+
+
+def isolated(smm, lam, margin=0.3):
+    """No root of a Smith-McMillan factor other than lam lies within
+    `margin` of lam, so the circle of radius 0.1 that local_indices
+    samples sees the structure at lam alone."""
+    fac = real_factor(lam)
+    for f in smm.zero_factors + smm.pole_factors:
+        for _ in range(f.multiplicity_at(lam)):
+            f = f // fac
+        roots = np.roots([x / f.den for x in reversed(f.nums)])
+        if len(roots) and min(abs(roots - float(lam))) < margin:
+            return False
+    return True
+
+
+class CountingEvaluable:
+    """A matrix's evaluable that records which evaluation it is asked for."""
+
+    def __init__(self, M):
+        self.ev = as_evaluable(M)
+        self.shape = self.ev.shape
+        self.calls = []
+
+    def eval_many(self, zs):
+        self.calls.append("eval_many")
+        return self.ev.eval_many(zs)
+
+    def eval_pair_many(self, zs):
+        self.calls.append("eval_pair_many")
+        return self.ev.eval_pair_many(zs)
+
+
+class TestLocalIndicesOracle:
+    """local_indices against the exact Smith-McMillan form: as many
+    indices as the exact normal rank, and pole_zero_index's values."""
+
+    POINTS = (QQ(0), QQ(1), QQ(-1), QQ(2), QQ(-2), QQ(1, 2))
+
+    def test_rank_and_values_match_smith_mcmillan(self):
+        checked, ranks = 0, set()
+        for m in oracle_cases():
+            smm = ratmat.smith_mcmillan(m)
+            sigma = smm.sigma().entries
+            nrank = sum(1 for j in range(min(m.shape))
+                        if not sigma[j][j].is_zero)
+            for lam in self.POINTS:
+                exact = ratmat.pole_zero_index(m, lam).values
+                # the pole order cleared first, and the largest partial
+                # multiplicity after it, stay inside kmax = 12
+                s = max((e.den.multiplicity_at(lam) for row in m.entries
+                         for e in row), default=0)
+                if max(exact, default=0) + s > 10 or not isolated(smm, lam):
+                    continue
+                got = local_indices(m, float(lam)).values
+                assert len(got) == nrank, (m, lam)
+                assert got == exact, (m, lam)
+                checked += 1
+                ranks.add(nrank)
+        assert checked >= 100
+        assert {1, 2} <= ranks
+
+    def test_one_evaluation_pass(self):
+        m = RatMat([[RatFn(ONE, Z), RatFn.coerce(Z)],
+                    [RatFn(0), RatFn.coerce(Z + ONE)]])
+        ev = CountingEvaluable(m)
+        assert local_indices(ev, 0, pole_order=1).values == \
+            local_indices(m, 0).values
+        assert ev.calls == ["eval_many"]
+
+    def test_leaves_numpy_random_unloaded(self):
+        code = (
+            "import sys\n"
+            "from meromat.exactalg import Poly, RatFn\n"
+            "from meromat.holomat import local_indices\n"
+            "from meromat.ratmat import RatMat\n"
+            "z = Poly.z()\n"
+            "m = RatMat([[RatFn(Poly.one(), z), RatFn(0)],\n"
+            "            [RatFn(0), RatFn.coerce(z)]])\n"
+            "assert local_indices(m, 0).values == (-1, 1)\n"
+            "print('numpy.random' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("nsamp, s", [(256, 0), (256, 3), (512, 1),
+                                          (256, -2)])
+    def test_cached_circle_powers(self, nsamp, s):
+        ws, wss = holomat._circle_powers(nsamp, s)
+        theta = 2 * math.pi * np.arange(nsamp) / nsamp
+        assert bits(ws).tolist() == bits(np.exp(1j * theta)).tolist()
+        assert bits(wss).tolist() == bits([w ** s for w in ws]).tolist()
+        assert holomat._circle_powers(nsamp, s)[1] is wss
+        for a in (ws, wss):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class FixedSamples:

@@ -80,6 +80,12 @@ class TestPolyMat:
         assert polymat.det(u) == ONE
         assert polymat.inverse_unimodular(u) @ u == PolyMat.identity(2)
 
+    def test_uncoercible_entry_is_input_error(self):
+        with pytest.raises(InputError, match="row 1 col 1: .*'x'"):
+            PolyMat([['x']])
+        with pytest.raises(InputError, match="row 2 col 1: .*None"):
+            RatMat([[Z], [None]])
+
     def test_inverse_singular(self):
         s = PolyMat([[Z, Z], [Z, Z]])
         with pytest.raises(SingularMatrixError):

@@ -16,7 +16,12 @@ from genutil import (
 from meromat import linalg_exact, polymat, ratmat, sysmat
 from meromat.errors import InputError, NotCoprimeError, SingularMatrixError
 from meromat.exactalg import QQ, Poly, RatFn
-from meromat.holomat import QuasiPolyMat, TdsData, build_tds_amd
+from meromat.holomat import (
+    QuasiPolyEntry,
+    QuasiPolyMat,
+    TdsData,
+    build_tds_amd,
+)
 from meromat.polymat import PolyMat
 from meromat.ratmat import Divisor, Mfd, RatMat
 from meromat.sysmat import (
@@ -82,6 +87,12 @@ class TestAmd:
         with pytest.raises(InputError, match="polynomial entries"):
             Amd(A=h.A, B=RatMat([[RatFn(ONE, Z), RatFn(0)],
                                  [RatFn(0), RatFn(1)]]), C=h.C, D=h.D)
+
+    def test_raw_grid_entry_of_another_ring(self):
+        # a raw grid goes through PolyMat, which cannot take a delay
+        e = QuasiPolyEntry([(ONE, QQ(1))])
+        with pytest.raises(InputError, match="row 1 col 1: .*exp"):
+            Amd([[e]], [[1]], [[1]], [[0]])
 
     def test_transfer(self):
         h = simple_amd()
