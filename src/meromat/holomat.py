@@ -729,6 +729,9 @@ def local_indices(M, point, kmax: int = 12,
     coefficient matrices. Their number, the normal rank of M, is read from
     16 of the same samples by nrank_sampled's rule: the rank drops only at
     isolated points, and the circle must already avoid the poles of M.
+    Numerically a zero of high order at the point can still hide the full
+    rank on the circle, so a rank below min(rows, cols) there is taken
+    from nrank_sampled's own points instead.
     """
     lam = complex(point.value if isinstance(point, RootHandle) else point)
     if pole_order is None:
@@ -739,7 +742,13 @@ def local_indices(M, point, kmax: int = 12,
     nsamp = 1 << max(8, (kmax + 1).bit_length() + 2)
     ws, wss = _circle_powers(nsamp, s)
     vals = ev.eval_many(lam + 0.1 * ws)
-    r = _max_rank(vals[::nsamp // 16])
+    r = 0
+    with contextlib.suppress(AmbiguousRankError):
+        r = _max_rank(vals[::nsamp // 16])
+    if r < min(rows, cols):
+        # near a zero of high order the circle's singular values shrink
+        # like 0.1^order and can hide the full rank: sample elsewhere
+        r = nrank_sampled(ev)
     # coefficients of (rho w)^s N(lam + rho w) in w: same local exponents,
     # numerically balanced
     coeffs = np.fft.fft(vals * wss[:, None, None], axis=0) / nsamp

@@ -268,18 +268,18 @@ class DenseMat:
 
     def __init__(self, entries, cols=0):
         coerce = self.entry.coerce
-        try:
-            grid = tuple(tuple(coerce(e) for e in row) for row in entries)
-        except (TypeError, ValueError):
-            for i, row in enumerate(entries):
-                for j, e in enumerate(row):
-                    try:
-                        coerce(e)
-                    except (TypeError, ValueError) as exc:
-                        raise InputError(
-                            f"{self.kind} matrix row {i + 1} col {j + 1}: "
-                            f"cannot take entry {e!r} ({exc})") from None
-            raise
+        grid = []
+        for i, row in enumerate(entries):
+            out = []
+            for j, e in enumerate(row):
+                try:
+                    out.append(coerce(e))
+                except (TypeError, ValueError) as exc:
+                    raise InputError(
+                        f"{self.kind} matrix row {i + 1} col {j + 1}: "
+                        f"cannot take entry {e!r} ({exc})") from None
+            grid.append(tuple(out))
+        grid = tuple(grid)
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise InputError(f"ragged {self.kind} matrix")
         self._fill(grid, cols)

@@ -520,6 +520,31 @@ class TestLocalIndicesOracle:
             local_indices(m, 0).values
         assert ev.calls == ["eval_many"]
 
+    @pytest.mark.parametrize("k", [11, 12, 14])
+    def test_high_order_zero_keeps_the_normal_rank(self, k):
+        # a zero of order k at 0 (alone, or spread between a pole and a
+        # zero) shrinks a singular value on the circle of radius 0.1 by
+        # about 0.1^k, below the rank threshold; the call must still look
+        # for 2 indices, not return the one it finds
+        zero = RatMat([[RatFn.coerce(ONE), RatFn.coerce(ONE)],
+                       [RatFn.coerce(ONE), RatFn.coerce(ONE + Z ** k)]])
+        spread = RatMat([[RatFn(e.num, Z ** (k // 2)) for e in row]
+                         for row in zero.entries])
+        for m in (zero, spread):
+            assert len(ratmat.pole_zero_index(m, 0).values) == 2
+            with pytest.raises(ConvergenceError, match="1 of 2 indices"):
+                local_indices(m, 0)
+
+    def test_draws_no_random_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("local_indices drew random points")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        m = RatMat([[RatFn(ONE, Z), RatFn(0)], [RatFn(0), RatFn.coerce(Z)]])
+        assert local_indices(m, 0).values == (-1, 1)
+
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="numpy < 2 loads numpy.random eagerly")
     def test_leaves_numpy_random_unloaded(self):
         code = (
             "import sys\n"

@@ -85,6 +85,9 @@ class TestPolyMat:
             PolyMat([['x']])
         with pytest.raises(InputError, match="row 2 col 1: .*None"):
             RatMat([[Z], [None]])
+        # one-shot rows are read once, and the bad entry still named
+        with pytest.raises(InputError, match="row 2 col 2: .*'x'"):
+            PolyMat(iter([iter([1, Z]), iter([2, 'x'])]))
 
     def test_inverse_singular(self):
         s = PolyMat([[Z, Z], [Z, Z]])
