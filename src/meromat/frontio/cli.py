@@ -192,8 +192,6 @@ def _contour(args) -> holomat.Contour:
         raise InputError("give either --circle or --region, not both")
     if args.circle is not None:
         cx, cy, r = _csv_floats(args.circle, 3, "--circle")
-        if r <= 0:
-            raise InputError("--circle radius must be positive")
         return holomat.Contour.circle(complex(cx, cy), r, tol=args.tol,
                                       max_subdiv=args.max_subdiv)
     if args.region is not None:
@@ -203,13 +201,10 @@ def _contour(args) -> holomat.Contour:
                      "--region X0,X1,Y0,Y1")
 
 
-def _box(args) -> tuple:
+def _box(args) -> list:
     if args.region is None:
         raise InputError("--region X0,X1,Y0,Y1 is required")
-    x0, x1, y0, y1 = _csv_floats(args.region, 4, "--region")
-    if x0 >= x1 or y0 >= y1:
-        raise InputError("--region must satisfy X0 < X1 and Y0 < Y1")
-    return (x0, x1, y0, y1)
+    return _csv_floats(args.region, 4, "--region")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .errors import (
     ContourError,
     ConvergenceError,
     InputError,
+    SingularMatrixError,
 )
 from .exactalg import QQ, GaussRat, Poly
 from .linalg_exact import DenseMat
@@ -36,7 +37,6 @@ __all__ = [
     "CountResult",
     "TdsData",
     "as_evaluable",
-    "qp_is_regular",
     "nrank_sampled",
     "count_zeros_minus_poles",
     "roots_in_region",
@@ -258,41 +258,8 @@ def as_evaluable(M):
     raise InputError(f"cannot evaluate object of type {type(M).__name__}")
 
 
-def qp_is_regular(A: QuasiPolyMat) -> bool:
-    """Sampled regularity test: det nonzero at one of 8 sample points,
-    relative to the product of the row norms, which bounds |det| (Hadamard),
-    so that the test does not depend on the scale of A."""
-    if A.rows != A.cols:
-        return False
-    rng = np.random.default_rng(20260823)
-    for _ in range(8):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        try:
-            m = A.eval(z)
-            bound = np.linalg.norm(m, axis=1).prod()
-            if abs(np.linalg.det(m)) > 1e-12 * bound:
-                return True
-        except AnalysisError:
-            continue
-    return False
-
-
 _RANK_ZERO = 1e-9
 _RANK_BAND = (1e-11, 1e-7)
-
-
-def _numeric_rank(mat, scale: float | None = None) -> int:
-    """Numeric rank; `scale` overrides the reference magnitude so that
-    all-noise matrices are not self-normalized into full rank."""
-    if mat.size == 0:
-        return 0
-    svals = np.linalg.svd(mat, compute_uv=False)
-    ref = svals[0] if scale is None else scale
-    rank = _band_ranks(svals[None], np.array([ref]))[0]
-    if rank < 0:
-        raise AmbiguousRankError(f"a singular value of {list(svals)} "
-                                 "falls in the ambiguity band")
-    return int(rank)
 
 
 def _band_ranks(svals, refs):
@@ -321,11 +288,21 @@ def _max_rank(mats) -> int:
     return int(ranks.max())
 
 
-def nrank_sampled(M) -> int:
-    """_max_rank at those of 16 fixed random points that can be evaluated."""
-    ev = as_evaluable(M)
+@functools.cache
+def _sample_points() -> tuple:
+    """16 fixed random points in the square [-3, 3]^2, drawn once."""
     rng = np.random.default_rng(715225741)
-    zs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(16)]
+    return tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                 for _ in range(16))
+
+
+def nrank_sampled(M) -> int:
+    """_max_rank at those of _sample_points that can be evaluated; 0 when M
+    has no rows or no columns."""
+    ev = as_evaluable(M)
+    if 0 in ev.shape:
+        return 0
+    zs = _sample_points()
     try:
         mats = ev.eval_many(zs)
     except AnalysisError:  # skip only the points that cannot be evaluated
@@ -522,6 +499,12 @@ def _check_proximity(ev, contour: Contour, samples: int = 256):
     dets = np.hypot(dets.real, dets.imag)
     top, low = dets.max(), dets.min()
     if top == 0.0 or low <= 1e-10 * top:
+        # det M may vanish everywhere, not just near the contour
+        with contextlib.suppress(AmbiguousRankError):
+            rank, n = nrank_sampled(ev), ev.shape[0]
+            if rank < n:
+                raise SingularMatrixError(
+                    f"matrix is singular: normal rank {rank} < {n}")
         raise ContourError(
             "contour passes too close to a zero or pole "
             f"(min/max boundary |det| = {low:.3g}/{top:.3g})")
@@ -568,10 +551,14 @@ class _Counted:
 def count_zeros_minus_poles(M, contour: Contour,
                             samples: int = 256) -> CountResult:
     """(1/2πi) ∮ Tr(M^{-1} M') dz, snapped to the nearest integer; the
-    contour is first checked at `samples` boundary points."""
+    contour is first checked at `samples` >= 1 boundary points, and a
+    failed check on a matrix whose sampled normal rank is short of its
+    size raises SingularMatrixError."""
     ev = _Counted(as_evaluable(M))
     if ev.shape[0] != ev.shape[1]:
         raise InputError("argument principle needs a square matrix")
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, not {samples}")
     _check_proximity(ev, contour, samples=samples)
     budget = _SubdivBudget(contour.max_subdiv)
     splits = budget.left
@@ -731,14 +718,19 @@ def local_indices(M, point, kmax: int = 12,
     isolated points, and the circle must already avoid the poles of M.
     Numerically a zero of high order at the point can still hide the full
     rank on the circle, so a rank below min(rows, cols) there is taken
-    from nrank_sampled's own points instead.
+    from nrank_sampled's own points instead. The point must be finite; M
+    without rows or columns has no indices.
     """
     lam = complex(point.value if isinstance(point, RootHandle) else point)
+    if not cmath.isfinite(lam):
+        raise InputError(f"local indices need a finite point, not {lam}")
+    ev = as_evaluable(M)
+    rows, cols = ev.shape
+    if not (rows and cols):
+        return IndexTuple(point, ())
     if pole_order is None:
         pole_order = _default_pole_order(M, lam)
     s = int(pole_order)
-    ev = as_evaluable(M)
-    rows, cols = ev.shape
     nsamp = 1 << max(8, (kmax + 1).bit_length() + 2)
     ws, wss = _circle_powers(nsamp, s)
     vals = ev.eval_many(lam + 0.1 * ws)
@@ -763,7 +755,11 @@ def local_indices(M, point, kmax: int = 12,
             for j in range(i + 1):
                 t[i * rows:(i + 1) * rows, j * cols:(j + 1) * cols] = \
                     coeffs[i - j]
-        rk = _numeric_rank(t, scale=scale)
+        svals = np.linalg.svd(t, compute_uv=False)
+        rk = int(_band_ranks(svals[None], np.array([scale]))[0])
+        if rk < 0:
+            raise AmbiguousRankError(f"a singular value of {list(svals)} "
+                                     "falls in the ambiguity band")
         delta = rk - prev_rank
         prev_rank = rk
         while len(alphas) < delta:
@@ -872,10 +868,15 @@ def regional_coprime(A, B, box, side: str = "right", tol: float = 1e-8):
             candidates = roots_in_region(sq, box, tol=tol)
         except (ContourError, ConvergenceError, AnalysisError):
             continue
-        bad = []
-        for z, _ in candidates:
-            if _numeric_rank(stack([z])[0]) < n:
-                bad.append(z)
+        zs = [z for z, _ in candidates]
+        # each rank relative to the stack's own largest singular value at
+        # that point, not equilibrated: a row vanishing there is the drop
+        svals = np.linalg.svd(stack(zs), compute_uv=False)
+        ranks = _band_ranks(svals, svals.max(axis=1, initial=0.0))
+        if (ranks < 0).any():
+            raise AmbiguousRankError(f"the rank of the stack at "
+                                     f"{zs[ranks.argmin()]} is ambiguous")
+        bad = [z for z, rk in zip(zs, ranks) if rk < n]
         return (not bad), bad
     raise AnalysisError("could not localize rank-drop candidates")
 

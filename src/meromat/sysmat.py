@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import polymat, ratmat
 from .errors import AnalysisError, InputError, NotCoprimeError, SingularMatrixError
 from .exactalg import RatFn
-from .holomat import QuasiPolyMat, _QpTransferEvaluable, qp_is_regular
+from .holomat import QuasiPolyMat, _QpTransferEvaluable, nrank_sampled
 from .polymat import PolyMat
 from .ratmat import Divisor, RatMat
 
@@ -41,7 +41,8 @@ __all__ = [
 
 class Amd:
     """Analytic matrix description [[A, B], [-C, D]] with regular state
-    block A; transfer function D + C A^{-1} B. Its blocks are all
+    block A, one of full normal rank (exact for PolyMat blocks, sampled
+    for QuasiPolyMat); transfer function D + C A^{-1} B. Its blocks are all
     QuasiPolyMat when any one is, else all PolyMat; `ring` reads which."""
 
     __slots__ = ("A", "B", "C", "D")
@@ -58,18 +59,18 @@ class Amd:
             raise InputError("state block must be square")
         if B.rows != r or C.cols != r or C.rows != D.rows or B.cols != D.cols:
             raise InputError("inconsistent AMD block dimensions")
-        if isinstance(A, PolyMat):
-            if polymat.det(A).is_zero:
-                raise SingularMatrixError("state block is singular")
-        elif not qp_is_regular(A):
-            raise SingularMatrixError("state block appears singular")
+        rank = (polymat.nrank(A) if isinstance(A, PolyMat)
+                else nrank_sampled(A))
+        if rank < r:
+            raise SingularMatrixError(
+                f"state block is singular: normal rank {rank} < {r}")
         for name, value in zip(Amd.__slots__, blocks):
             object.__setattr__(self, name, value)
 
     @staticmethod
     def _regular(A, B, C, D) -> "Amd":
         """An AMD built in this module whose state block is regular by
-        construction: stored as given, without the determinant check."""
+        construction: stored as given, without the normal-rank check."""
         h = object.__new__(Amd)
         for name, value in zip(Amd.__slots__, (A, B, C, D)):
             object.__setattr__(h, name, value)

@@ -619,6 +619,34 @@ class TestCliInProcess:
         assert self.run(capsys, "smith", "m.mm", "--json") == first
         assert first[0] == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "m.mm", "--circle=0,0,-1"],
+         "circle radius must be positive"),
+        (["roots", "m.mm", "--region=1,-1,-1,1"],
+         "rectangle must have positive area"),
+        (["count", "m.mm", "--circle=0,0,5", "--samples=0"],
+         "samples must be at least 1, not 0"),
+        (["local-indices", "m.mm", "--json", "--point=nan,0"],
+         "local indices need a finite point"),
+        (["local-indices", "g.mm", "--json", "--point=inf,0"],
+         "local indices need a finite point"),
+    ])
+    def test_bad_numeric_input_exits_2(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+    def test_singular_matrix_exits_1(self, capsys, workdir):
+        (workdir / "s.mm").write_text(
+            "meromat/1 matrix\nkind polynomial\nsize 2 2\n"
+            "row z ; z\nrow 1 ; 1\n")
+        assert cli.main(["count", "s.mm", "--circle=0.5,0.5,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("analysis failed: ")
+        assert "normal rank 1 < 2" in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

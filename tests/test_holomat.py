@@ -302,6 +302,30 @@ class TestCounting:
         with pytest.raises(ContourError):
             count_zeros_minus_poles(m, Contour.circle(1 + 0j, 1.0))
 
+    def test_singular_matrix_is_reported(self):
+        # det [[z, z], [1, 1]] vanishes everywhere, not near the contour
+        m = PolyMat([[Z, Z], [ONE, ONE]])
+        with pytest.raises(SingularMatrixError, match="normal rank 1 < 2"):
+            count_zeros_minus_poles(m, Contour.circle(0.5 + 0.5j, 1.0))
+        with pytest.raises(SingularMatrixError, match="normal rank 1 < 2"):
+            roots_in_region(m, (-1, 1, -1, 1))
+
+    def test_ambiguous_rank_keeps_contour_error(self):
+        # det = 1e-9 z: the circle passes through its zero at 0, and every
+        # sample is nearly singular, so the rank is ambiguous
+        m = PolyMat([[ONE, ONE], [ONE, ONE + Z * QQ(1, 10 ** 9)]])
+        with pytest.raises(AmbiguousRankError):
+            nrank_sampled(m)
+        with pytest.raises(ContourError, match="too close"):
+            count_zeros_minus_poles(m, Contour.circle(1, 1.0))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_rejected(self, samples):
+        m = RatMat([[RatFn.coerce(Z)]])
+        with pytest.raises(InputError, match="samples must be at least 1"):
+            count_zeros_minus_poles(m, Contour.circle(5, 1.0),
+                                    samples=samples)
+
     def test_nonsquare_rejected(self):
         m = RatMat([[RatFn.coerce(Z), RatFn.coerce(ONE)]])
         with pytest.raises(InputError):
@@ -415,6 +439,22 @@ class TestLocalIndices:
         m = RatMat([[RatFn.coerce(Z ** 4)]])
         with pytest.raises(ConvergenceError):
             local_indices(m, 0, kmax=2)
+
+    @pytest.mark.parametrize("point", [math.nan, complex(0, math.nan),
+                                       math.inf, complex(0, -math.inf)])
+    def test_non_finite_point(self, point):
+        for m in (RatMat([[RatFn(ONE, Z)]]), PolyMat([[Z]]),
+                  QuasiPolyMat([[qp([(Z, QQ(0))])]])):
+            with pytest.raises(InputError, match="finite point"):
+                local_indices(m, point)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 2), (2, 0)])
+    def test_empty_shape_has_no_indices(self, shape):
+        assert local_indices(RatMat.zeros(*shape), 0).values == ()
+        assert local_indices(PolyMat.zeros(*shape), 1.5).values == ()
+
+    def test_zero_matrix_has_no_indices(self):
+        assert local_indices(RatMat.zeros(2, 2), 0).values == ()
 
     def test_root_handle_point(self):
         # a handle from poly_roots names an irrational pole, which
@@ -591,14 +631,17 @@ class FixedSamples:
 
 
 def loop_nrank(mats):
-    """nrank_sampled's rule one matrix at a time: the largest rank of a
-    sample whose rank is not ambiguous."""
+    """nrank_sampled's rule one matrix at a time, each by its own SVD and
+    without equilibration: the largest rank of a finite sample with no
+    singular value in the ambiguity band relative to its largest."""
+    lo, hi = holomat._RANK_BAND
     ranks = []
     for m in mats:
-        try:
-            ranks.append(holomat._numeric_rank(m))
-        except (AmbiguousRankError, np.linalg.LinAlgError):
+        if not np.isfinite(m).all():
             continue
+        s = np.linalg.svd(m, compute_uv=False)
+        if not ((lo * s[0] < s) & (s < hi * s[0])).any():
+            ranks.append(int((s > holomat._RANK_ZERO * s[0]).sum()))
     return max(ranks)
 
 
@@ -649,6 +692,26 @@ class TestRank:
         empty[0, 0] = 7e-6
         assert nrank_sampled(FixedSamples([empty] * 16)) == 1
 
+    def test_sample_points_drawn_once(self, monkeypatch):
+        rng = np.random.default_rng(715225741)
+        want = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                for _ in range(16)]
+        got = holomat._sample_points()
+        assert bits(got).tolist() == bits(want).tolist()
+
+        def no_draws(*args):
+            raise AssertionError("sample points drawn again")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        m = PolyMat([[Z, ONE], [ONE, Z]])
+        assert nrank_sampled(m) == 2
+        assert holomat._sample_points() is got
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_shape_has_rank_zero(self, shape):
+        assert nrank_sampled(PolyMat.zeros(*shape)) == 0
+        assert nrank_sampled(QuasiPolyMat.zeros(*shape)) == 0
+
 
 class TestRegionalCoprime:
     def test_coprime_pair(self):
@@ -663,6 +726,16 @@ class TestRegionalCoprime:
         ok, bad = regional_coprime(a, b, (-1, 1, -1, 1), side="right")
         assert not ok
         assert any(abs(z) < 1e-6 for z in bad)
+
+
+    def test_common_zero_in_one_row(self):
+        # at 0 only the first rows of [A; B] vanish: scaling each row to
+        # unit norm would hide the drop
+        a = QuasiPolyMat.from_polymat(PolyMat([[Z, 0], [0, ONE]]))
+        ok, bad = regional_coprime(a, a, (-1, 1, -1, 1), side="right")
+        assert not ok and len(bad) == 1 and abs(bad[0]) < 1e-6
+        ok, bad = regional_coprime(a, a, (2, 3, -1, 1), side="left")
+        assert ok and not bad  # no candidate in the box
 
 
 @pytest.mark.parametrize("box", [(0, 1, 0), (0, 1, 0, 1, 2), 3,
@@ -742,7 +815,8 @@ class TestTds:
 
 
 class TestRegularity:
-    """qp_is_regular does not depend on the scale of the block."""
+    """A quasi-polynomial state block is regular when its sampled normal
+    rank is full, whatever the scale of the block."""
 
     @pytest.mark.parametrize("scale", [QQ(1), QQ(1, 10 ** 4), QQ(1, 10 ** 8)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -750,7 +824,7 @@ class TestRegularity:
         e = qp([(Z * scale, QQ(0)), (Poly.const(-scale), QQ(1))])
         a = QuasiPolyMat([[e if i == j else qp([]) for j in range(n)]
                           for i in range(n)])
-        assert holomat.qp_is_regular(a)
+        assert nrank_sampled(a) == n
         b = QuasiPolyMat([[qp([(ONE, QQ(0))])] for _ in range(n)])
         c = QuasiPolyMat([[qp([(ONE, QQ(0))]) for _ in range(n)]])
         h = Amd(A=a, B=b, C=c, D=QuasiPolyMat.zeros(1, 1))
@@ -760,11 +834,32 @@ class TestRegularity:
     def test_rank_one_block(self, scale):
         e = qp([(Z * scale, QQ(0)), (Poly.const(-scale), QQ(1))])
         a = QuasiPolyMat([[e, e * 2], [e * 3, e * 6]])
-        assert not holomat.qp_is_regular(a)
+        assert nrank_sampled(a) == 1
         one = QuasiPolyMat([[qp([(ONE, QQ(0))])], [qp([(ONE, QQ(0))])]])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="normal rank 1 < 2"):
             Amd(A=a, B=one, C=one.transpose(),
                 D=QuasiPolyMat.zeros(1, 1))
+
+
+    def test_exact_and_sampled_rules_agree(self):
+        # the same singular block, exact and quasi-polynomial
+        a = PolyMat([[Z, Z], [ONE, ONE]])
+        b, c, d = PolyMat([[ONE], [ONE]]), PolyMat([[ONE, ONE]]), \
+            PolyMat([[0]])
+        msgs = []
+        for make in (lambda x: x, QuasiPolyMat.from_polymat):
+            with pytest.raises(SingularMatrixError) as exc:
+                Amd(A=make(a), B=make(b), C=make(c), D=make(d))
+            msgs.append(str(exc.value))
+        assert msgs[0] == msgs[1] == "state block is singular: " \
+            "normal rank 1 < 2"
+
+    def test_no_states(self):
+        # r = 0: an empty state block is regular in either ring
+        for zeros in (PolyMat.zeros, QuasiPolyMat.zeros):
+            h = Amd(A=zeros(0, 0), B=zeros(0, 1), C=zeros(1, 0),
+                    D=zeros(1, 1))
+            assert h.state_dim == 0 and h.input_dim == h.output_dim == 1
 
 
 class TestContourInput:
