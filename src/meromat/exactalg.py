@@ -314,8 +314,12 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------
 
+    # an operand of a wider ring (RatFn, QuasiPolyEntry) gets NotImplemented
+
     def __add__(self, other):
-        return self._plus(Poly.coerce(other), 1)
+        if not isinstance(other, Poly) and (other := _const(other)) is None:
+            return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -323,13 +327,16 @@ class Poly:
         return self._scaled(-1, 1)
 
     def __sub__(self, other):
-        return self._plus(Poly.coerce(other), -1)
+        if not isinstance(other, Poly) and (other := _const(other)) is None:
+            return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return Poly.coerce(other)._plus(self, -1)
 
     def __mul__(self, other):
-        other = Poly.coerce(other)
+        if not isinstance(other, Poly) and (other := _const(other)) is None:
+            return NotImplemented
         if not self.nums or not other.nums:
             return _P_ZERO
         return _poly(_conv(self.nums, other.nums), self.den * other.den)
@@ -429,10 +436,27 @@ class Poly:
                 return k
             p, k = q, k + 1
 
-    def __repr__(self):
-        from .frontio.render import poly_to_str
+    def __str__(self):
+        """Canonical text (3/2*z^2 - z + 1), which the grammar reads back."""
+        pieces = []
+        for d in range(len(self.nums) - 1, -1, -1):
+            if x := self.nums[d]:
+                c = str(QQ(abs(x), self.den))
+                z = "z" if d == 1 else f"z^{d}"
+                term = c if not d else z if abs(x) == self.den else f"{c}*{z}"
+                sign = " - " if x < 0 else " + "
+                pieces += [sign if pieces else sign.strip(" +"), term]
+        return "".join(pieces) or "0"
 
-        return f"Poly({poly_to_str(self)})"
+    def __repr__(self):
+        return f"Poly({self})"
+
+
+def _const(c):
+    try:
+        return Poly.const(c)
+    except TypeError:  # c is no constant
+        return None
 
 
 _new = object.__new__
@@ -596,7 +620,10 @@ class RatFn:
         q, r = divmod(self.num, self.den)
         return q, RatFn(r, self.den)
 
-    def __repr__(self):
-        from .frontio.render import ratfn_to_str
+    def __str__(self):
+        """num or (num)/(den), which the entry grammar reads back."""
+        return (str(self.num) if self.is_polynomial
+                else f"({self.num})/({self.den})")
 
-        return f"RatFn({ratfn_to_str(self)})"
+    def __repr__(self):
+        return f"RatFn({self})"

@@ -1,12 +1,5 @@
 """Front end: entry-expression parser, file formats, and the CLI."""
 
 from .parser import EntryExpr, parse_entry
-from .render import poly_to_str, qp_to_str, ratfn_to_str
 
-__all__ = [
-    "EntryExpr",
-    "parse_entry",
-    "poly_to_str",
-    "ratfn_to_str",
-    "qp_to_str",
-]
+__all__ = ["EntryExpr", "parse_entry"]

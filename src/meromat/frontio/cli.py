@@ -118,9 +118,7 @@ def _grid(M) -> list:
 
 
 def _divisor(d: Divisor) -> dict:
-    from .render import poly_to_str
-
-    return {"zeros": poly_to_str(d.zeros), "poles": poly_to_str(d.poles)}
+    return {"zeros": str(d.zeros), "poles": str(d.poles)}
 
 
 def _complex(z: complex) -> dict:
@@ -216,11 +214,9 @@ def _cmd_smith(args) -> None:
     if M.kind != "polynomial":
         raise InputError(f"{args.file}: smith needs a polynomial matrix")
     dec = polymat.smith_form(M.matrix())
-    from .render import poly_to_str
-
     _report(args, {
         "command": "smith",
-        "invariant_factors": [poly_to_str(p) for p in dec.invariant_factors],
+        "invariant_factors": [str(p) for p in dec.invariant_factors],
         "nrank": dec.nrank,
         "E": _grid(dec.E), "S": _grid(dec.S), "F": _grid(dec.F),
     })
@@ -228,12 +224,10 @@ def _cmd_smith(args) -> None:
 
 def _cmd_smith_mcmillan(args) -> None:
     dec = ratmat.smith_mcmillan(_load_ratmat(args.file))
-    from .render import poly_to_str
-
     _report(args, {
         "command": "smith-mcmillan",
-        "zero_factors": [poly_to_str(p) for p in dec.zero_factors],
-        "pole_factors": [poly_to_str(p) for p in dec.pole_factors],
+        "zero_factors": [str(p) for p in dec.zero_factors],
+        "pole_factors": [str(p) for p in dec.pole_factors],
         "nrank": dec.nrank,
         "E": _grid(dec.E), "F": _grid(dec.F),
     })
@@ -369,9 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              "splits (default 40)")
     common.add_argument("--samples", type=int, default=256,
                         help="boundary sample count for proximity checks")
-    contour = argparse.ArgumentParser(add_help=False)
-    contour.add_argument("--region", metavar="X0,X1,Y0,Y1",
-                         help="rectangular region")
+    region = argparse.ArgumentParser(add_help=False)
+    region.add_argument("--region", metavar="X0,X1,Y0,Y1",
+                        help="rectangular region")
+    contour = argparse.ArgumentParser(add_help=False, parents=[region])
     contour.add_argument("--circle", metavar="CX,CY,R",
                          help="circular contour")
 
@@ -421,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("count", _cmd_count, [common, contour],
         "argument-principle count of zeros minus poles")
-    p = add("roots", _cmd_roots, [common, contour],
-            "locate all roots in a region")
+    add("roots", _cmd_roots, [common, region],
+        "locate all roots in a region")
     p = add("local-indices", _cmd_local_indices, [common],
             "local pole-zero indices at a point")
     p.add_argument("--point", metavar="X,Y", required=True,

@@ -17,7 +17,6 @@ from ..polymat import PolyMat
 from ..ratmat import RatMat
 from ..sysmat import Amd
 from .parser import parse_entry
-from .render import poly_to_str, qp_to_str, ratfn_to_str
 
 __all__ = [
     "MatrixFile",
@@ -49,13 +48,9 @@ _ALLOWED = {
 
 
 def _render_entry(value) -> str:
-    if isinstance(value, Poly):
-        return poly_to_str(value)
-    if isinstance(value, RatFn):
-        return ratfn_to_str(value)
-    if isinstance(value, QuasiPolyEntry):
-        return qp_to_str(value)
-    raise InputError(f"cannot render entry of type {type(value).__name__}")
+    if not isinstance(value, (Poly, RatFn, QuasiPolyEntry)):
+        raise InputError(f"cannot render entry of type {type(value).__name__}")
+    return str(value)
 
 
 def _parse_grid_entry(src: str, kind: str, where: str):

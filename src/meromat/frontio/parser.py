@@ -45,11 +45,10 @@ _ONE = Poly.one()
 
 
 def _mul(a, b):
-    """a * b for Poly or QuasiPolyEntry operands, skipping a factor one; a
-    QuasiPolyEntry goes on the left, since Poly does not coerce one."""
+    """a * b for Poly or QuasiPolyEntry operands, skipping a factor one."""
     if a is _ONE or b is _ONE:
         return b if a is _ONE else a
-    return b * a if isinstance(b, QuasiPolyEntry) else a * b
+    return a * b
 
 
 class _Value:
@@ -63,8 +62,7 @@ class _Value:
         self.den = den
 
     def __add__(self, other: "_Value") -> "_Value":
-        a, b = _mul(self.num, other.den), _mul(other.num, self.den)
-        return _Value(b + a if isinstance(b, QuasiPolyEntry) else a + b,
+        return _Value(_mul(self.num, other.den) + _mul(other.num, self.den),
                       _mul(self.den, other.den))
 
     def __neg__(self) -> "_Value":

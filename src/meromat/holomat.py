@@ -23,6 +23,7 @@ from .errors import (
     ContourError,
     ConvergenceError,
     InputError,
+    RankDeficientError,
     SingularMatrixError,
 )
 from .exactalg import QQ, GaussRat, Poly
@@ -130,6 +131,9 @@ class QuasiPolyEntry:
     def __sub__(self, other):
         return self + (-QuasiPolyEntry.coerce(other))
 
+    def __rsub__(self, other):
+        return QuasiPolyEntry.coerce(other) - self
+
     def __mul__(self, other):
         other = QuasiPolyEntry.coerce(other)
         out = []
@@ -168,13 +172,13 @@ class QuasiPolyEntry:
             acc += p(z) * cmath.exp(-float(tau) * z)
         return acc
 
-    def __repr__(self):
-        from .frontio.render import qp_to_str
+    def __str__(self):
+        """Canonical text, which the entry grammar reads back."""
+        return " + ".join(str(p) if not tau else f"({p})*exp(-{tau}*z)"
+                          for p, tau in self.terms) or "0"
 
-        try:
-            return f"QuasiPolyEntry({qp_to_str(self)})"
-        except Exception:
-            return f"QuasiPolyEntry({self.terms!r})"
+    def __repr__(self):
+        return f"QuasiPolyEntry({self})"
 
 
 class QuasiPolyMat(DenseMat):
@@ -824,48 +828,46 @@ def regional_coprime(A, B, box, side: str = "right", tol: float = 1e-8):
 
     Returns (True, []) or (False, offending points). Candidate points are
     zeros of a random square compression of the stacked matrix, each
-    re-checked by numeric rank of the stack itself.
+    re-checked by numeric rank of the stack itself. A stack whose sampled
+    normal rank is below n has a rank drop everywhere: RankDeficientError.
     """
     a, b = as_evaluable(A), as_evaluable(B)
-    if side == "right":
-        if a.shape[1] != b.shape[1]:
-            raise InputError("right coprimeness: column counts differ")
-        n = a.shape[1]
-        big = a.shape[0] + b.shape[0]
-
-        def join(x, y):
-            return np.concatenate([x, y], axis=1)
-    elif side == "left":
-        if a.shape[0] != b.shape[0]:
-            raise InputError("left coprimeness: row counts differ")
-        n = a.shape[0]
-        big = a.shape[1] + b.shape[1]
-
-        def join(x, y):
-            return np.concatenate([x, y], axis=2).swapaxes(1, 2)
-    else:
+    if side not in ("right", "left"):
         raise InputError(f"unknown side {side!r}")
+    i = int(side == "right")  # the axis of the shape that A and B share
+    if a.shape[i] != b.shape[i]:
+        raise InputError(f"{side} coprimeness: {('row', 'column')[i]} "
+                         "counts differ")
+    n, big = a.shape[i], a.shape[1 - i] + b.shape[1 - i]
+
+    def join(x, y):  # [A; B], or [A, B] transposed
+        s = np.concatenate([x, y], axis=2 - i)
+        return s if i else s.swapaxes(1, 2)
 
     def stack(zs):
         return join(a.eval_many(zs), b.eval_many(zs))
 
+    class _Compressed:
+        """g @ stack, with its derivative."""
+
+        def __init__(self, g):
+            self.g, self.shape = g, (len(g), n)
+
+        def eval_many(self, zs):
+            return self.g @ stack(zs)
+
+        def eval_pair_many(self, zs):
+            (av, ad), (bv, bd) = a.eval_pair_many(zs), b.eval_pair_many(zs)
+            return self.g @ join(av, bv), self.g @ join(ad, bd)
+
+    k = nrank_sampled(_Compressed(np.eye(big)))
+    if k < n:
+        raise RankDeficientError(f"the stack has normal rank {k} < {n}")
     rng = np.random.default_rng(911375821)
     for _ in range(6):
         g = rng.standard_normal((n, big)) + 1j * rng.standard_normal((n, big))
-
-        class _Squared:
-            shape = (n, n)
-
-            def eval_many(self, zs, g=g):
-                return g @ stack(zs)
-
-            def eval_pair_many(self, zs, g=g):
-                (av, ad), (bv, bd) = a.eval_pair_many(zs), b.eval_pair_many(zs)
-                return g @ join(av, bv), g @ join(ad, bd)
-
-        sq = _Squared()
         try:
-            candidates = roots_in_region(sq, box, tol=tol)
+            candidates = roots_in_region(_Compressed(g), box, tol=tol)
         except (ContourError, ConvergenceError, AnalysisError):
             continue
         zs = [z for z, _ in candidates]

@@ -313,10 +313,14 @@ class DenseMat:
         return type(self), (self.entries, self.cols)
 
     def _like(self, other):
-        """The constructor of a result built from self and other: `_of`
-        when both are of this type, so every entry is of the ring, else
-        the coercing constructor."""
-        return type(self)._of if type(other) is type(self) else type(self)
+        """`_of` for a result of two matrices of this type, else the coercing
+        constructor of the wider ring: RatMat and QuasiPolyMat have none."""
+        if type(other) is type(self):
+            return type(self)._of
+        if "polynomial" not in (self.kind, other.kind):
+            raise InputError(f"cannot combine a {self.kind} matrix with a "
+                             f"{other.kind} matrix")
+        return type(other) if self.kind == "polynomial" else type(self)
 
     # -- constructors --------------------------------------------------
 

@@ -292,7 +292,7 @@ class SmithMcMillanDecomposition:
         return _product(self.pole_factors)
 
     def reconstruct(self) -> RatMat:
-        return RatMat.from_polymat(self.E) @ self.sigma() @ RatMat.from_polymat(self.F)
+        return self.E @ self.sigma() @ self.F
 
 
 def _product(polys) -> Poly:

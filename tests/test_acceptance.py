@@ -21,7 +21,7 @@ from genutil import (
 from meromat import linalg_exact, polymat, ratmat, sysmat
 from meromat.errors import AnalysisError, ContourError, ParseError
 from meromat.exactalg import QQ, GaussRat, Poly, RatFn, poly_gcd
-from meromat.frontio import files, parse_entry, poly_to_str, qp_to_str, ratfn_to_str
+from meromat.frontio import files, parse_entry
 from meromat.holomat import (
     Contour,
     QuasiPolyEntry,
@@ -388,12 +388,7 @@ def test_parser_and_io_suite():
         text = _random_expression(rng)
         e = parse_entry(text)
         parsed += 1
-        if e.kind == "polynomial":
-            rendered = poly_to_str(e.value)
-        elif e.kind == "rational":
-            rendered = ratfn_to_str(e.value)
-        else:
-            rendered = qp_to_str(e.value)
+        rendered = str(e.value)
         again = parse_entry(rendered)
         assert again.kind == e.kind, (text, rendered)
         assert again.value == e.value, (text, rendered)

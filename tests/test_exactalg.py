@@ -196,6 +196,26 @@ class TestRatFn:
         assert RatFn(z) != 1 and RatFn(1, z) != 1 and RatFn(1, z) != z
         assert RatFn(0) == 0 and hash(RatFn(0)) == hash(0)
 
+    def test_polynomial_operand_first(self):
+        # Poly leaves an operand it cannot take to that operand's ring
+        z = Poly.z()
+        f = RatFn(Poly.one(), z)
+        assert z * f == f * z == RatFn(1)
+        assert z + f == f + z == RatFn(z * z + Poly.one(), z)
+        assert z - f == -(f - z)
+        with pytest.raises(TypeError):
+            z + object()
+
+    def test_text(self):
+        z = Poly.z()
+        p = Poly([1, -1, QQ(3, 2)])
+        assert str(p) == "3/2*z^2 - z + 1" and repr(p) == f"Poly({p})"
+        assert str(-z) == "-z" and str(Poly.zero()) == "0"
+        assert str(Poly([QQ(-1, 2), 0, 0, 2])) == "2*z^3 - 1/2"
+        f = RatFn(Poly.one(), z.scale(QQ(2)))
+        assert str(f) == "(1/2)/(z)" and repr(f) == "RatFn((1/2)/(z))"
+        assert str(RatFn(z * z - Poly.one(), z - Poly.one())) == "z + 1"
+
 
 def bits(v) -> bytes:
     v = complex(v)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import meromat
 from meromat.errors import InputError, ParseError
 from meromat.exactalg import QQ, Poly, RatFn
-from meromat.frontio import (cli, files, parse_entry, poly_to_str, qp_to_str,
-                             ratfn_to_str)
+from meromat.frontio import cli, files, parse_entry
 from meromat.holomat import QuasiPolyEntry, QuasiPolyMat, TdsData
 from meromat.polymat import PolyMat
 from meromat.ratmat import RatMat
@@ -138,7 +137,7 @@ class TestRenderRoundTrip:
     @given(poly_strategy)
     @settings(max_examples=150)
     def test_poly(self, p):
-        e = parse_entry(poly_to_str(p))
+        e = parse_entry(str(p))
         assert e.kind == "polynomial"
         assert e.value == p
 
@@ -148,14 +147,14 @@ class TestRenderRoundTrip:
         if den.is_zero:
             return
         f = RatFn(num, den)
-        e = parse_entry(ratfn_to_str(f))
+        e = parse_entry(str(f))
         assert e.kind != "quasipoly"
         assert RatFn.coerce(e.value) == f
 
     @given(qp_strategy())
     @settings(max_examples=150)
     def test_qp(self, q):
-        e = parse_entry(qp_to_str(q))
+        e = parse_entry(str(q))
         assert e.kind != "rational"
         assert QuasiPolyEntry.coerce(e.value) == q
 
@@ -377,7 +376,7 @@ class TestFiles:
                     f"layout {layout}\n")
             for name, blk in zip(("tl", "tr", "bl", "br"), blocks):
                 text += f"block {name}\n" + "".join(
-                    "row " + " ; ".join(poly_to_str(e) for e in row) + "\n"
+                    "row " + " ; ".join(str(e) for e in row) + "\n"
                     for row in blk.entries)
             af = files.loads(text)
             assert af.amd() == h, layout
@@ -479,6 +478,15 @@ class TestFiles:
         mf = files.loads(text)
         assert isinstance(mf.matrix(), QuasiPolyMat)
         assert files.dumps(mf) == text
+
+    def test_non_entry_is_not_written(self):
+        # a grid holds Poly, RatFn or QuasiPolyEntry values; the writer
+        # refuses any other, here a bare rational
+        mf = files.MatrixFile(kind="polynomial", rows=1, cols=2,
+                              entries=((Z, QQ(1)),))
+        with pytest.raises(InputError,
+                           match="cannot render entry of type Fraction"):
+            files.dumps(mf)
 
 
 # The directory that holds the imported ``meromat`` package.  The child
@@ -637,6 +645,14 @@ class TestCliInProcess:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert message in captured.err
+
+    def test_roots_takes_no_circle(self, capsys):
+        # roots searches a rectangle: a circle is a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["roots", "m.mm", "--json", "--region=-1,1,-1,1",
+                      "--circle=5,5,0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --circle" in capsys.readouterr().err
 
     def test_singular_matrix_exits_1(self, capsys, workdir):
         (workdir / "s.mm").write_text(

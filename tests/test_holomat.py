@@ -17,6 +17,7 @@ from meromat.errors import (
     ContourError,
     ConvergenceError,
     InputError,
+    RankDeficientError,
     SingularMatrixError,
 )
 from meromat.exactalg import QQ, GaussRat, Poly, RatFn, real_factor
@@ -64,6 +65,18 @@ class TestQuasiPolyEntry:
     def test_negative_delay_rejected(self):
         with pytest.raises(InputError):
             qp([(ONE, QQ(-1))])
+
+    def test_polynomial_operand_first(self):
+        q = qp([(ONE, QQ(0)), (Z, QQ(1, 2))])
+        assert Z + q == q + Z and Z * q == q * Z
+        assert Z - q == -(q - Z)
+        assert 2 - q == qp([(ONE, QQ(0)), (-Z, QQ(1, 2))])
+
+    def test_text(self):
+        q = qp([(ONE, QQ(0)), (-Z, QQ(1, 2))])
+        assert str(q) == "1 + (-z)*exp(-1/2*z)"
+        assert repr(q) == f"QuasiPolyEntry({q})"
+        assert str(QuasiPolyEntry()) == "0"
 
     def test_eval_and_derivative(self):
         e = qp([(Z, QQ(0)), (ONE, QQ(1))])  # z + e^{-z}
@@ -736,6 +749,15 @@ class TestRegionalCoprime:
         assert not ok and len(bad) == 1 and abs(bad[0]) < 1e-6
         ok, bad = regional_coprime(a, a, (2, 3, -1, 1), side="left")
         assert ok and not bad  # no candidate in the box
+
+    def test_rank_deficient_stack(self):
+        # [z, z; 1, 1] has normal rank 1 < 2: no root search is made
+        a = QuasiPolyMat.from_polymat(PolyMat([[Z, Z]]))
+        b = QuasiPolyMat.from_polymat(PolyMat([[ONE, ONE]]))
+        for pair, side in (((a, b), "right"),
+                           ((a.transpose(), b.transpose()), "left")):
+            with pytest.raises(RankDeficientError, match="normal rank 1 < 2"):
+                regional_coprime(*pair, (-1, 1, -1, 1), side=side)
 
 
 @pytest.mark.parametrize("box", [(0, 1, 0), (0, 1, 0, 1, 2), 3,

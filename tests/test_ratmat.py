@@ -15,6 +15,7 @@ from genutil import (
 from meromat import linalg_exact, polymat, ratmat
 from meromat.errors import InputError, NotCoprimeError
 from meromat.exactalg import QQ, GaussRat, Poly, RatFn, poly_gcd, real_factor
+from meromat.holomat import QuasiPolyEntry, QuasiPolyMat
 from meromat.polymat import PolyMat
 from meromat.ratmat import (
     Divisor,
@@ -49,14 +50,27 @@ class TestRatMat:
         assert prod == RatMat.identity(2)
 
     def test_mixed_operands_coerce(self):
-        """A rational matrix combined with a polynomial one has rational
-        entries throughout."""
-        r = rmat([[Z, RatFn(ONE, Z)]])
+        """A rational or quasi-polynomial matrix combined with a polynomial
+        one, in either order, has entries of the wider ring throughout; a
+        rational and a quasi-polynomial matrix do not combine."""
         p = PolyMat([[ONE, Z]])
-        for out in (r + p, r.hstack(p), r.vstack(p), r @ p.transpose()):
-            assert type(out) is RatMat
-            assert all(type(e) is RatFn for row in out.entries for e in row)
-        assert r + p == r + RatMat.from_polymat(p)
+        r = rmat([[Z, RatFn(ONE, Z)]])
+        q = QuasiPolyMat([[QuasiPolyEntry([(Z, 1)]), Z]])
+        for w, cls in ((r, RatMat), (q, QuasiPolyMat)):
+            for out in (w + p, p + w, w - p, p - w, w.hstack(p), p.hstack(w),
+                        w.vstack(p), p.vstack(w), w @ p.transpose(),
+                        p.transpose() @ w):
+                assert type(out) is cls
+                assert all(type(e) is cls.entry
+                           for row in out.entries for e in row)
+            assert w + p == p + w == w + cls.from_polymat(p)
+            assert p.transpose() @ w == cls.from_polymat(p.transpose()) @ w
+        for x, y in ((r, q), (q, r)):
+            for op in (x.__add__, x.hstack, x.vstack):
+                with pytest.raises(InputError, match="cannot combine"):
+                    op(y)
+            with pytest.raises(InputError, match="cannot combine"):
+                x.transpose() @ y
 
     def test_polynomial_detection(self):
         m = rmat([[Z, ONE]])
