@@ -317,7 +317,7 @@ class Poly:
     # an operand of a wider ring (RatFn, QuasiPolyEntry) gets NotImplemented
 
     def __add__(self, other):
-        if not isinstance(other, Poly) and (other := _const(other)) is None:
+        if not isinstance(other, Poly) and (other := _lift(other)) is None:
             return NotImplemented
         return self._plus(other, 1)
 
@@ -327,7 +327,7 @@ class Poly:
         return self._scaled(-1, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly) and (other := _const(other)) is None:
+        if not isinstance(other, Poly) and (other := _lift(other)) is None:
             return NotImplemented
         return self._plus(other, -1)
 
@@ -335,7 +335,7 @@ class Poly:
         return Poly.coerce(other)._plus(self, -1)
 
     def __mul__(self, other):
-        if not isinstance(other, Poly) and (other := _const(other)) is None:
+        if not isinstance(other, Poly) and (other := _lift(other)) is None:
             return NotImplemented
         if not self.nums or not other.nums:
             return _P_ZERO
@@ -452,10 +452,11 @@ class Poly:
         return f"Poly({self})"
 
 
-def _const(c):
+def _lift(value, coerce=Poly.const):
+    """coerce(value), or None for an operand of another ring."""
     try:
-        return Poly.const(c)
-    except TypeError:  # c is no constant
+        return coerce(value)
+    except TypeError:
         return None
 
 
@@ -574,8 +575,12 @@ class RatFn:
             return hash(self.num)
         return hash((self.num, self.den))
 
+    # an operand of another ring (QuasiPolyEntry) gets NotImplemented
+
     def __add__(self, other):
-        other = RatFn.coerce(other)
+        if (not isinstance(other, RatFn)
+                and (other := _lift(other, RatFn.coerce)) is None):
+            return NotImplemented
         return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -584,13 +589,15 @@ class RatFn:
         return RatFn(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-RatFn.coerce(other))
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        return RatFn.coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = RatFn.coerce(other)
+        if (not isinstance(other, RatFn)
+                and (other := _lift(other, RatFn.coerce)) is None):
+            return NotImplemented
         return RatFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -601,10 +608,12 @@ class RatFn:
         return RatFn(self.den, self.num)
 
     def __truediv__(self, other):
-        return self * RatFn.coerce(other).inverse()
+        if (other := _lift(other, RatFn.coerce)) is None:
+            return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return RatFn.coerce(other) * self.inverse()
+        return self.inverse().__mul__(other)
 
     def __call__(self, z: complex) -> complex:
         return self.num(z) / self.den(z)

@@ -96,10 +96,14 @@ def _scalar(v) -> str:
 
 
 def _report(args, body: dict) -> None:
-    doc = {"tool": "meromat", "version": __version__,
-           "tolerances": {"tol": float(args.tol),
-                          "max_subdiv": int(args.max_subdiv),
-                          "samples": int(args.samples)}}
+    """tool, version, the tolerance options the command takes (no block
+    when it takes none), the command's words, then the handler's body."""
+    doc = {"tool": "meromat", "version": __version__}
+    tolerances = {k: getattr(args, k) for k in
+                  ("tol", "max_subdiv", "samples") if hasattr(args, k)}
+    if tolerances:
+        doc["tolerances"] = tolerances
+    doc["command"] = args.words
     doc.update(body)
     if args.json:
         parts: list = []
@@ -206,244 +210,202 @@ def _box(args) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report body
 
 
-def _cmd_smith(args) -> None:
+def _cmd_smith(args) -> dict:
     M = _load(args.file, files.MatrixFile)
     if M.kind != "polynomial":
         raise InputError(f"{args.file}: smith needs a polynomial matrix")
     dec = polymat.smith_form(M.matrix())
-    _report(args, {
-        "command": "smith",
-        "invariant_factors": [str(p) for p in dec.invariant_factors],
-        "nrank": dec.nrank,
-        "E": _grid(dec.E), "S": _grid(dec.S), "F": _grid(dec.F),
-    })
+    return {"invariant_factors": [str(p) for p in dec.invariant_factors],
+            "nrank": dec.nrank,
+            "E": _grid(dec.E), "S": _grid(dec.S), "F": _grid(dec.F)}
 
 
-def _cmd_smith_mcmillan(args) -> None:
+def _cmd_smith_mcmillan(args) -> dict:
     dec = ratmat.smith_mcmillan(_load_ratmat(args.file))
-    _report(args, {
-        "command": "smith-mcmillan",
-        "zero_factors": [str(p) for p in dec.zero_factors],
-        "pole_factors": [str(p) for p in dec.pole_factors],
-        "nrank": dec.nrank,
-        "E": _grid(dec.E), "F": _grid(dec.F),
-    })
+    return {"zero_factors": [str(p) for p in dec.zero_factors],
+            "pole_factors": [str(p) for p in dec.pole_factors],
+            "nrank": dec.nrank, "E": _grid(dec.E), "F": _grid(dec.F)}
 
 
-def _cmd_mfd(args) -> None:
+def _cmd_mfd(args) -> dict:
     M = _load_ratmat(args.file)
     mfd = (ratmat.right_coprime_mfd(M) if args.side == "right"
            else ratmat.left_coprime_mfd(M))
-    _report(args, {
-        "command": "mfd",
-        "side": mfd.side,
-        "N": _grid(mfd.N), "D": _grid(mfd.D),
-        "order": _divisor(mfd.order_divisor()),
-    })
+    return {"side": mfd.side, "N": _grid(mfd.N), "D": _grid(mfd.D),
+            "order": _divisor(mfd.order_divisor())}
 
 
-def _cmd_least_order(args) -> None:
+def _cmd_least_order(args) -> dict:
     M = _load_ratmat(args.file)
-    nu = ratmat.least_order(M)
-    _report(args, {
-        "command": "least-order",
-        "least_order": _divisor(nu),
-        "total": ratmat.least_order_total(M),
-        "mcmillan_degree": ratmat.mcmillan_degree(M),
-    })
+    return {"least_order": _divisor(ratmat.least_order(M)),
+            "total": ratmat.least_order_total(M),
+            "mcmillan_degree": ratmat.mcmillan_degree(M)}
 
 
-def _cmd_amd_check(args) -> None:
+def _cmd_amd_check(args) -> dict:
     rep = sysmat.least_order_check(_load_amd(args.file))
-    _report(args, {
-        "command": "amd check",
-        "irreducible": rep.irreducible,
-        "order": _divisor(rep.order),
-        "transfer_least_order": _divisor(rep.transfer_least_order),
-        "is_least": rep.is_least,
-    })
+    return {"irreducible": rep.irreducible, "order": _divisor(rep.order),
+            "transfer_least_order": _divisor(rep.transfer_least_order),
+            "is_least": rep.is_least}
 
 
-def _cmd_amd_reduce(args) -> None:
+def _cmd_amd_reduce(args) -> dict:
     rep = sysmat.decouple(_load_amd(args.file))
-    _report(args, {
-        "command": "amd reduce",
-        "input_decoupling": _divisor(rep.input_decoupling),
-        "output_decoupling": _divisor(rep.output_decoupling),
-        "io_decoupling": _points(rep.io_decoupling),
-        "decoupling": _points(rep.decoupling),
-        "reduced": _amd_blocks(rep.reduced),
-    })
+    return {"input_decoupling": _divisor(rep.input_decoupling),
+            "output_decoupling": _divisor(rep.output_decoupling),
+            "io_decoupling": _points(rep.io_decoupling),
+            "decoupling": _points(rep.decoupling),
+            "reduced": _amd_blocks(rep.reduced)}
 
 
-def _cmd_amd_equate(args) -> None:
+def _cmd_amd_equate(args) -> dict:
     w = sysmat.equate_irreducible(_load_amd(args.file),
                                   _load_amd(args.file2))
-    _report(args, {
-        "command": "amd equate",
-        "equivalent": w is not None,
-        "witness": None if w is None else _witness(w),
-    })
+    return {"equivalent": w is not None,
+            "witness": None if w is None else _witness(w)}
 
 
-def _cmd_amd_to_rmf(args) -> None:
+def _cmd_amd_to_rmf(args) -> dict:
     s, w = sysmat.to_rmf(_load_amd(args.file))
-    _report(args, {"command": "amd to-rmf",
-                   "system": _amd_blocks(s), "witness": _witness(w)})
+    return {"system": _amd_blocks(s), "witness": _witness(w)}
 
 
-def _cmd_amd_to_lmf(args) -> None:
+def _cmd_amd_to_lmf(args) -> dict:
     s, w = sysmat.to_lmf(_load_amd(args.file))
-    _report(args, {"command": "amd to-lmf",
-                   "system": _amd_blocks(s), "witness": _witness(w)})
+    return {"system": _amd_blocks(s), "witness": _witness(w)}
 
 
-def _cmd_count(args) -> None:
-    res = holomat.count_zeros_minus_poles(
-        _load_matrix(args.file), _contour(args), samples=args.samples)
-    _report(args, {"command": "count", **_count_body(res)})
+def _cmd_count(args) -> dict:
+    return _count_body(holomat.count_zeros_minus_poles(
+        _load_matrix(args.file), _contour(args), samples=args.samples))
 
 
-def _cmd_roots(args) -> None:
+def _cmd_roots(args) -> dict:
     roots = holomat.roots_in_region(_load_matrix(args.file), _box(args),
                                     tol=args.tol)
-    _report(args, {
-        "command": "roots",
-        "total": sum(m for _, m in roots),
-        "roots": [{"re": float(z.real), "im": float(z.imag),
-                   "multiplicity": m} for z, m in roots],
-    })
+    return {"total": sum(m for _, m in roots),
+            "roots": [{"re": float(z.real), "im": float(z.imag),
+                       "multiplicity": m} for z, m in roots]}
 
 
-def _cmd_local_indices(args) -> None:
+def _cmd_local_indices(args) -> dict:
     x, y = _csv_floats(args.point, 2, "--point")
     res = holomat.local_indices(_load_matrix(args.file), complex(x, y),
                                 kmax=args.kmax)
-    _report(args, {
-        "command": "local-indices",
-        "point": _complex(complex(x, y)),
-        "indices": list(res.values),
-    })
+    return {"point": _complex(complex(x, y)), "indices": list(res.values)}
 
 
-def _cmd_tds_build(args) -> None:
-    tf = _load(args.file, files.TdsFile)
-    H = holomat.build_tds_amd(tf.data)
+def _cmd_tds_build(args) -> dict | None:
+    """The report with --json; otherwise the AMD file itself."""
+    H = holomat.build_tds_amd(_load(args.file, files.TdsFile).data)
     if args.json:
-        _report(args, {"command": "tds build", "amd": _amd_blocks(H)})
-    else:
-        sys.stdout.write(files.dumps(files.AmdFile.from_amd(H)))
+        return {"amd": _amd_blocks(H)}
+    sys.stdout.write(files.dumps(files.AmdFile.from_amd(H)))
+    return None
 
 
-def _cmd_tds_poles(args) -> None:
+def _cmd_tds_poles(args) -> dict:
     tf = _load(args.file, files.TdsFile)
-    res = holomat.count_zeros_minus_poles(
+    return _count_body(holomat.count_zeros_minus_poles(
         holomat.tds_state_block(tf.data), _contour(args),
-        samples=args.samples)
-    _report(args, {"command": "tds poles", **_count_body(res)})
+        samples=args.samples))
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table
+
+
+def _arg(*flags, **kw) -> tuple:
+    return flags, kw
+
+
+_TOL = _arg("--tol", type=float, default=1e-8,
+            help="numeric tolerance (default 1e-8)")
+_REGION = _arg("--region", metavar="X0,X1,Y0,Y1", help="rectangular region")
+# an argument-principle count: its contour and quadrature settings
+_CONTOUR = (
+    _TOL,
+    _arg("--max-subdiv", type=int, default=40,
+         help="quadrature depth N: panels are never split below 2^-N of a "
+              "segment; at most 2^min(N,16) splits (default 40)"),
+    _arg("--samples", type=int, default=256,
+         help="boundary sample count for proximity checks"),
+    _arg("--circle", metavar="CX,CY,R", help="circular contour"),
+    _REGION,
+)
+_FILE = (_arg("file", help="input file"),)
+_AMD = (_arg("file", help="AMD file"),)
+_TDS = (_arg("file", help="TDS file"),)
+
+_GROUPS = {"amd": "analytic matrix description analyses",
+           "tds": "time-delay system analyses"}
+
+# words, handler, help, shared options, own arguments
+_COMMANDS = (
+    ("smith", _cmd_smith, "Smith form of a polynomial matrix", (), _FILE),
+    ("smith-mcmillan", _cmd_smith_mcmillan,
+     "Smith-McMillan form of a rational matrix", (), _FILE),
+    ("mfd", _cmd_mfd, "coprime matrix-fraction description", (),
+     _FILE + (_arg("--side", choices=("right", "left"), default="right"),)),
+    ("least-order", _cmd_least_order,
+     "least order and McMillan degree of a rational matrix", (), _FILE),
+    ("amd check", _cmd_amd_check, "irreducibility and least order", (), _AMD),
+    ("amd reduce", _cmd_amd_reduce, "strip decoupling zeros", (), _AMD),
+    ("amd equate", _cmd_amd_equate,
+     "system equivalence of two irreducible AMDs", (),
+     _AMD + (_arg("file2", help="second AMD file"),)),
+    ("amd to-rmf", _cmd_amd_to_rmf, "right matrix fraction form", (), _AMD),
+    ("amd to-lmf", _cmd_amd_to_lmf, "left matrix fraction form", (), _AMD),
+    ("count", _cmd_count, "argument-principle count of zeros minus poles",
+     _CONTOUR, _FILE),
+    ("roots", _cmd_roots, "locate all roots in a region", (_TOL, _REGION),
+     _FILE),
+    ("local-indices", _cmd_local_indices,
+     "local pole-zero indices at a point", (), _FILE + (
+         _arg("--point", metavar="X,Y", required=True,
+              help="expansion point"),
+         _arg("--kmax", type=int, default=12,
+              help="truncation order for the Toeplitz ranks, 0 to 64"))),
+    ("tds build", _cmd_tds_build, "assemble the quasi-polynomial AMD", (),
+     _TDS),
+    ("tds poles", _cmd_tds_poles, "count characteristic roots in a contour",
+     _CONTOUR, _TDS),
+)
 
 
 @functools.cache  # built on first use; parse_args keeps no state on it
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON report")
-    common.add_argument("--tol", type=float, default=1e-8,
-                        help="numeric tolerance (default 1e-8)")
-    common.add_argument("--max-subdiv", type=int, default=40,
-                        help="quadrature depth N: panels are never split "
-                             "below 2^-N of a segment; at most 2^min(N,16) "
-                             "splits (default 40)")
-    common.add_argument("--samples", type=int, default=256,
-                        help="boundary sample count for proximity checks")
-    region = argparse.ArgumentParser(add_help=False)
-    region.add_argument("--region", metavar="X0,X1,Y0,Y1",
-                        help="rectangular region")
-    contour = argparse.ArgumentParser(add_help=False, parents=[region])
-    contour.add_argument("--circle", metavar="CX,CY,R",
-                         help="circular contour")
-
     top = argparse.ArgumentParser(
         prog="meromat",
         description="Exact and numeric analysis of polynomial, rational "
                     "and quasi-polynomial matrices.")
     top.add_argument("--version", action="version",
                      version=f"meromat {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, parents, help_text, two_files=False):
-        p = sub.add_parser(name, parents=parents, help=help_text)
-        p.add_argument("file", help="input file")
-        if two_files:
-            p.add_argument("file2", help="second input file")
-        p.set_defaults(fn=fn)
-        return p
-
-    add("smith", _cmd_smith, [common],
-        "Smith form of a polynomial matrix")
-    add("smith-mcmillan", _cmd_smith_mcmillan, [common],
-        "Smith-McMillan form of a rational matrix")
-    p = add("mfd", _cmd_mfd, [common],
-            "coprime matrix-fraction description")
-    p.add_argument("--side", choices=("right", "left"), default="right")
-    add("least-order", _cmd_least_order, [common],
-        "least order and McMillan degree of a rational matrix")
-
-    amd = sub.add_parser("amd", help="analytic matrix description analyses")
-    amd_sub = amd.add_subparsers(dest="amd_command", required=True)
-
-    def add_amd(name, fn, help_text, two_files=False):
-        p = amd_sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("file", help="AMD file")
-        if two_files:
-            p.add_argument("file2", help="second AMD file")
-        p.set_defaults(fn=fn)
-        return p
-
-    add_amd("check", _cmd_amd_check, "irreducibility and least order")
-    add_amd("reduce", _cmd_amd_reduce, "strip decoupling zeros")
-    add_amd("equate", _cmd_amd_equate,
-            "system equivalence of two irreducible AMDs", two_files=True)
-    add_amd("to-rmf", _cmd_amd_to_rmf, "right matrix fraction form")
-    add_amd("to-lmf", _cmd_amd_to_lmf, "left matrix fraction form")
-
-    add("count", _cmd_count, [common, contour],
-        "argument-principle count of zeros minus poles")
-    add("roots", _cmd_roots, [common, region],
-        "locate all roots in a region")
-    p = add("local-indices", _cmd_local_indices, [common],
-            "local pole-zero indices at a point")
-    p.add_argument("--point", metavar="X,Y", required=True,
-                   help="expansion point")
-    p.add_argument("--kmax", type=int, default=12,
-                   help="truncation order for the Toeplitz ranks")
-
-    tds = sub.add_parser("tds", help="time-delay system analyses")
-    tds_sub = tds.add_subparsers(dest="tds_command", required=True)
-    p = tds_sub.add_parser("build", parents=[common],
-                           help="assemble the quasi-polynomial AMD")
-    p.add_argument("file", help="TDS file")
-    p.set_defaults(fn=_cmd_tds_build)
-    p = tds_sub.add_parser("poles", parents=[common, contour],
-                           help="count characteristic roots in a contour")
-    p.add_argument("file", help="TDS file")
-    p.set_defaults(fn=_cmd_tds_poles)
-
+    subs = {"": top.add_subparsers(dest="command", required=True)}
+    for words, fn, help_text, shared, own in _COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(
+                group, help=_GROUPS[group]).add_subparsers(
+                    dest=f"{group}_command", required=True)
+        p = subs[group].add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true",
+                       help="emit a machine-readable JSON report")
+        for flags, kw in shared + own:
+            p.add_argument(*flags, **kw)
+        p.set_defaults(fn=fn, words=words)
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        body = args.fn(args)
+        if body is not None:
+            _report(args, body)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .exactalg import QQ, GaussRat, Poly
+from .exactalg import QQ, GaussRat, Poly, _lift
 from .linalg_exact import DenseMat
 from .polymat import PolyMat
 from .ratmat import IndexTuple, RatMat, RootHandle
@@ -121,21 +121,27 @@ class QuasiPolyEntry:
     def __hash__(self):
         return hash(self.terms)
 
+    # an operand of another ring (RatFn) gets NotImplemented
+
     def __add__(self, other):
-        other = QuasiPolyEntry.coerce(other)
+        if (not isinstance(other, QuasiPolyEntry)
+                and (other := _lift(other, QuasiPolyEntry.coerce)) is None):
+            return NotImplemented
         return QuasiPolyEntry(self.terms + other.terms)
 
     def __neg__(self):
         return QuasiPolyEntry(tuple((-p, t) for p, t in self.terms))
 
     def __sub__(self, other):
-        return self + (-QuasiPolyEntry.coerce(other))
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        return QuasiPolyEntry.coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = QuasiPolyEntry.coerce(other)
+        if (not isinstance(other, QuasiPolyEntry)
+                and (other := _lift(other, QuasiPolyEntry.coerce)) is None):
+            return NotImplemented
         out = []
         for p1, t1 in self.terms:
             for p2, t2 in other.terms:
@@ -723,11 +729,15 @@ def local_indices(M, point, kmax: int = 12,
     Numerically a zero of high order at the point can still hide the full
     rank on the circle, so a rank below min(rows, cols) there is taken
     from nrank_sampled's own points instead. The point must be finite; M
-    without rows or columns has no indices.
+    without rows or columns has no indices. kmax runs from 0 to 64: at 64
+    the routine takes 512 samples and its largest Toeplitz block is
+    65*rows x 65*cols.
     """
     lam = complex(point.value if isinstance(point, RootHandle) else point)
     if not cmath.isfinite(lam):
         raise InputError(f"local indices need a finite point, not {lam}")
+    if not 0 <= kmax <= 64:
+        raise InputError(f"kmax must be from 0 to 64, not {kmax}")
     ev = as_evaluable(M)
     rows, cols = ev.shape
     if not (rows and cols):

@@ -249,14 +249,17 @@ def fse_to_rse(H1: Amd, H2: Amd, w: FseWitness) -> RseWitness:
     y_til = y_til - w_blk @ w.M
     m_rse = PolyMat.block([[-x_til, y_til], [H2.A, w.M]])
     x_rse = (-H2.C).hstack(w.X)
-    n_prime = PolyMat.block([
-        [-x_til, y_til @ H1.A],
-        [PolyMat.identity(ell), w.N],
+    # the proof identity reads X (I ⊕ H1) = (I ⊕ H2) Y' with right factor
+    # [[-X̃, Ỹ A1], [I, N]]; X̃ N + Ỹ A1 = I, which the correction keeps as
+    # M A1 = A2 N, makes [[-N, I - N X̃], [I, X̃]] its inverse, the Def. sse
+    # right factor
+    if x_til.hstack(y_til) @ w.N.vstack(H1.A) != PolyMat.identity(r):
+        raise SingularMatrixError("matrix is not unimodular")
+    n_inv = PolyMat.block([
+        [-w.N, PolyMat.identity(ell) - w.N @ x_til],
+        [PolyMat.identity(r), x_til],
     ])
     y_prime = (y_til @ H1.B).vstack(w.Y)
-    # the proof identity reads X (I ⊕ H1) = (I ⊕ H2) Y'; invert the right
-    # factor to land on the Def. sse shape
-    n_inv = polymat.inverse_unimodular(n_prime)
     return RseWitness(M=m_rse, N=n_inv, X=x_rse, Y=-(n_inv @ y_prime),
                       p=r + ell)
 

@@ -203,6 +203,7 @@ class TestRatFn:
         assert z * f == f * z == RatFn(1)
         assert z + f == f + z == RatFn(z * z + Poly.one(), z)
         assert z - f == -(f - z)
+        assert z / f == RatFn(z * z) and 1 / f == RatFn(z) and f / f == 1
         with pytest.raises(TypeError):
             z + object()
 

@@ -638,6 +638,10 @@ class TestCliInProcess:
          "local indices need a finite point"),
         (["local-indices", "g.mm", "--json", "--point=inf,0"],
          "local indices need a finite point"),
+        (["local-indices", "m.mm", "--point=0,0", "--kmax=-1"],
+         "kmax must be from 0 to 64, not -1"),
+        (["local-indices", "m.mm", "--point=0,0", "--kmax=1000000"],
+         "kmax must be from 0 to 64, not 1000000"),
     ])
     def test_bad_numeric_input_exits_2(self, capsys, argv, message):
         assert cli.main(argv) == 2
@@ -645,6 +649,52 @@ class TestCliInProcess:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert message in captured.err
+
+    # each command's argv and the tolerance options it takes, in report
+    # order; every command takes --json
+    COMMANDS = [
+        (["smith", "m.mm"], ()),
+        (["smith-mcmillan", "g.mm"], ()),
+        (["mfd", "g.mm", "--side=left"], ()),
+        (["least-order", "g.mm"], ()),
+        (["amd", "check", "h.mm"], ()),
+        (["amd", "reduce", "h.mm"], ()),
+        (["amd", "equate", "h.mm", "h.mm"], ()),
+        (["amd", "to-rmf", "h.mm"], ()),
+        (["amd", "to-lmf", "h.mm"], ()),
+        (["count", "m.mm", "--circle=0,0,1"],
+         ("tol", "max_subdiv", "samples")),
+        (["roots", "m.mm", "--region=-1,1,-1,1"], ("tol",)),
+        (["local-indices", "m.mm", "--point=0,0", "--kmax=4"], ()),
+        (["tds", "build", "t.mm"], ()),
+        (["tds", "poles", "t.mm", "--circle=0,0,2"],
+         ("tol", "max_subdiv", "samples")),
+    ]
+
+    @pytest.mark.parametrize("argv, taken", COMMANDS,
+                             ids=[" ".join(a[:2]) for a, _ in COMMANDS])
+    def test_reports_only_the_tolerances_it_takes(self, capsys, argv, taken):
+        code, out = self.run(capsys, *argv, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc)[:2] == ["tool", "version"]
+        assert tuple(doc.get("tolerances", {})) == taken
+        assert ("tolerances" in doc) == bool(taken)
+        assert doc["command"] == " ".join(
+            argv[:2] if argv[0] in ("amd", "tds") else argv[:1])
+        for flag, value in (("tol", "1e-6"), ("max_subdiv", "9"),
+                            ("samples", "64")):
+            option = "--" + flag.replace("_", "-") + "=" + value
+            if flag in taken:
+                code, out = self.run(capsys, *argv, "--json", option)
+                assert code == 0
+                assert json.loads(out)["tolerances"][flag] == float(value)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, option])
+            assert exc.value.code == 2
+            assert (f"unrecognized arguments: {option}"
+                    in capsys.readouterr().err)
 
     def test_roots_takes_no_circle(self, capsys):
         # roots searches a rectangle: a circle is a usage error

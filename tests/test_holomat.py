@@ -1,6 +1,8 @@
 import math
+import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +73,26 @@ class TestQuasiPolyEntry:
         assert Z + q == q + Z and Z * q == q * Z
         assert Z - q == -(q - Z)
         assert 2 - q == qp([(ONE, QQ(0)), (-Z, QQ(1, 2))])
+
+    @pytest.mark.parametrize("op, sign", [(operator.add, "+"),
+                                          (operator.sub, "-"),
+                                          (operator.mul, "*"),
+                                          (operator.truediv, "/")])
+    def test_rational_operand_is_unsupported(self, op, sign):
+        # neither ring holds the other: Python's own message, either order
+        q = qp([(ONE, QQ(0)), (Z, QQ(1, 2))])
+        f = RatFn(ONE, Z)
+        for a, b in ((q, f), (f, q)):
+            with pytest.raises(TypeError, match=re.escape(
+                    f"unsupported operand type(s) for {sign}: "
+                    f"'{type(a).__name__}' and '{type(b).__name__}'")):
+                op(a, b)
+        if sign == "/":
+            return  # the quasi-polynomial ring has no division
+        # a polynomial, an int or a rational still lifts into either ring
+        for c in (Z, 2, QQ(1, 2)):
+            assert op(q, c) == op(q, qp([(Poly.coerce(c), QQ(0))]))
+            assert op(c, f) == op(RatFn(c), f)
 
     def test_text(self):
         q = qp([(ONE, QQ(0)), (-Z, QQ(1, 2))])
@@ -452,6 +474,15 @@ class TestLocalIndices:
         m = RatMat([[RatFn.coerce(Z ** 4)]])
         with pytest.raises(ConvergenceError):
             local_indices(m, 0, kmax=2)
+
+    def test_kmax_bounds(self):
+        # the work grows with kmax: 0 to 64 is taken, anything else refused
+        assert local_indices(PolyMat([[Z + ONE]]), 0, kmax=0).values == (0,)
+        assert local_indices(PolyMat([[Z ** 4]]), 0, kmax=64).values == (4,)
+        for kmax in (-1, 65, 10 ** 6):
+            with pytest.raises(InputError,
+                               match=f"kmax must be from 0 to 64, not {kmax}"):
+                local_indices(PolyMat([[Z]]), 0, kmax=kmax)
 
     @pytest.mark.parametrize("point", [math.nan, complex(0, math.nan),
                                        math.inf, complex(0, -math.inf)])

@@ -14,7 +14,12 @@ from genutil import (
     transformed_realization,
 )
 from meromat import linalg_exact, polymat, ratmat, sysmat
-from meromat.errors import InputError, NotCoprimeError, SingularMatrixError
+from meromat.errors import (
+    InputError,
+    NoSolutionError,
+    NotCoprimeError,
+    SingularMatrixError,
+)
 from meromat.exactalg import QQ, Poly, RatFn
 from meromat.holomat import (
     QuasiPolyEntry,
@@ -159,15 +164,46 @@ class TestEquivalence:
         with pytest.raises(InputError, match="equate_irreducible needs"):
             equate_irreducible(simple_amd(), h)
 
-    def test_fse_rse_round_trip(self):
+    def test_fse_rse_round_trip(self, monkeypatch):
+        # fse_to_rse writes down the inverse of its right factor
+        def refuse(*args):
+            raise AssertionError("inverse_unimodular called")
+
         rng = random.Random(33)
         for _ in range(6):
             h = rand_left_coprime_amd(rng)
             s, w = to_rmf(h)
-            r = fse_to_rse(h, s, w)
+            with monkeypatch.context() as mp:
+                mp.setattr(polymat, "inverse_unimodular", refuse)
+                r = fse_to_rse(h, s, w)
             assert verify_rse(h, s, r)
             w2 = rse_to_fse(h, s, r)
             assert verify_fse(h, s, w2)
+
+    def test_fse_to_rse_invalid_witness(self):
+        # one entry of M or N changed: the witness breaks M A1 = A2 N, and
+        # fse_to_rse refuses it or returns a witness that verify_rse rejects
+        rng = random.Random(7)
+        refused = 0
+        for k in range(12):
+            h = rand_left_coprime_amd(rng)
+            s, w = to_rmf(h)
+            grid = [list(row) for row in (w.M if k % 2 else w.N).entries]
+            grid[0][0] = grid[0][0] + Poly.z() ** (k % 3)
+            bad = (FseWitness(M=PolyMat(grid), N=w.N, X=w.X, Y=w.Y)
+                   if k % 2 else
+                   FseWitness(M=w.M, N=PolyMat(grid), X=w.X, Y=w.Y))
+            assert not verify_fse(h, s, bad)
+            try:
+                r = fse_to_rse(h, s, bad)
+            except SingularMatrixError as exc:
+                assert str(exc) == "matrix is not unimodular"
+                refused += 1
+            except (NotCoprimeError, NoSolutionError):
+                pass  # a Bezout equation has no solution
+            else:
+                assert not verify_rse(h, s, r)
+        assert refused
 
     def test_compose_fse(self):
         # H1 ~ H2 = U H1 V by (U, V^-1, 0, 0), H2 ~ H3 by a reduction
