@@ -13,7 +13,6 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,10 +25,10 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .exactalg import QQ, GaussRat, Poly, _lift
+from .exactalg import QQ, Poly, _lift
 from .linalg_exact import DenseMat
 from .polymat import PolyMat
-from .ratmat import IndexTuple, RatMat, RootHandle
+from .ratmat import IndexTuple, RootHandle
 
 __all__ = [
     "QuasiPolyEntry",
@@ -701,9 +700,9 @@ def _locate(ev, box: _Box, count: int, tol: float, min_cell: float, out):
         out.append((z, count))
         return
     if box.diameter <= min_cell:
-        # unresolved cluster at the floor: report at cell center
-        z = _newton(ev, box.center, count, tol) or box.center
-        out.append((z, count))
+        # unresolved cluster at the floor: report the Newton result, else
+        # the cell center
+        out.append((box.center if z is None else z, count))
         return
     lo, nlo, hi, nhi = _split_box(ev, box, tol)
     if nlo + nhi != count:
@@ -716,22 +715,25 @@ def _locate(ev, box: _Box, count: int, tol: float, min_cell: float, out):
 # local indices via block-Toeplitz ranks
 
 
-def local_indices(M, point, kmax: int = 12,
-                  pole_order: int | None = None) -> IndexTuple:
+def local_indices(M, point, kmax: int = 12) -> IndexTuple:
     """Pole-zero index of M at the point from numeric Taylor data.
 
-    Multiplies by (z - point)^s to clear a pole of order s, Taylor-expands
-    on the circle of radius 0.1 about the point, and reads partial
-    multiplicities off the rank increments of nested block-Toeplitz
-    coefficient matrices. Their number, the normal rank of M, is read from
-    16 of the same samples by nrank_sampled's rule: the rank drops only at
-    isolated points, and the circle must already avoid the poles of M.
-    Numerically a zero of high order at the point can still hide the full
-    rank on the circle, so a rank below min(rows, cols) there is taken
-    from nrank_sampled's own points instead. The point must be finite; M
-    without rows or columns has no indices. kmax runs from 0 to 64: at 64
-    the routine takes 512 samples and its largest Toeplitz block is
-    65*rows x 65*cols.
+    Samples M on the circle of radius 0.1 about the point and takes the
+    FFT of the samples, which holds the Laurent coefficient c_-k at index
+    nsamp - k. The pole order s is the largest k < nsamp/2 whose block
+    there is not zero relative to the largest coefficient, by the band rule
+    of the ranks (a block in the band raises AmbiguousRankError). Shifting
+    the coefficients by s clears the pole, and the partial multiplicities
+    come off the rank increments of nested block-Toeplitz coefficient
+    matrices. Their number, the normal rank of M, is read from 16 of the
+    same samples by nrank_sampled's rule: the rank drops only at isolated
+    points. No pole of M other than the point may lie on or inside the
+    circle, or it is read as one at the point. Numerically a zero of high
+    order at the point can still hide the full rank on the circle, so a
+    rank below min(rows, cols) there is taken from nrank_sampled's own
+    points instead. The point must be finite; M without rows or columns
+    has no indices. kmax runs from 0 to 64: at 64 the routine takes 512
+    samples and its largest Toeplitz block is 65*rows x 65*cols.
     """
     lam = complex(point.value if isinstance(point, RootHandle) else point)
     if not cmath.isfinite(lam):
@@ -742,12 +744,8 @@ def local_indices(M, point, kmax: int = 12,
     rows, cols = ev.shape
     if not (rows and cols):
         return IndexTuple(point, ())
-    if pole_order is None:
-        pole_order = _default_pole_order(M, lam)
-    s = int(pole_order)
     nsamp = 1 << max(8, (kmax + 1).bit_length() + 2)
-    ws, wss = _circle_powers(nsamp, s)
-    vals = ev.eval_many(lam + 0.1 * ws)
+    vals = ev.eval_many(lam + 0.1 * _circle_nodes(nsamp))
     r = 0
     with contextlib.suppress(AmbiguousRankError):
         r = _max_rank(vals[::nsamp // 16])
@@ -755,12 +753,21 @@ def local_indices(M, point, kmax: int = 12,
         # near a zero of high order the circle's singular values shrink
         # like 0.1^order and can hide the full rank: sample elsewhere
         r = nrank_sampled(ev)
-    # coefficients of (rho w)^s N(lam + rho w) in w: same local exponents,
-    # numerically balanced
-    coeffs = np.fft.fft(vals * wss[:, None, None], axis=0) / nsamp
+    coeffs = np.fft.fft(vals, axis=0) / nsamp
     # rank thresholds are relative to the largest coefficient overall, so
     # Toeplitz blocks made of pure truncation noise stay rank zero
-    scale = float(np.abs(coeffs).max())
+    scale = np.array([np.abs(coeffs).max()])
+    # c_-k lands at index nsamp - k; for each k of 1..nsamp/2 - 1, the
+    # largest entry there or further out descends in k, so the band rule
+    # counts the pole order s
+    tail = np.abs(coeffs[:nsamp // 2:-1]).max(axis=(1, 2))
+    s = int(_band_ranks(np.maximum.accumulate(tail[::-1])[::-1][None],
+                        scale)[0])
+    if s < 0:
+        raise AmbiguousRankError(f"a Laurent coefficient at {lam} falls in "
+                                 "the ambiguity band")
+    # the coefficients of w^s M(lam + 0.1 w): same local exponents, plus s
+    coeffs = np.roll(coeffs, s, axis=0)
     alphas = []
     prev_rank = 0
     for k in range(kmax + 1):
@@ -770,7 +777,7 @@ def local_indices(M, point, kmax: int = 12,
                 t[i * rows:(i + 1) * rows, j * cols:(j + 1) * cols] = \
                     coeffs[i - j]
         svals = np.linalg.svd(t, compute_uv=False)
-        rk = int(_band_ranks(svals[None], np.array([scale]))[0])
+        rk = int(_band_ranks(svals[None], scale)[0])
         if rk < 0:
             raise AmbiguousRankError(f"a singular value of {list(svals)} "
                                      "falls in the ambiguity band")
@@ -784,49 +791,12 @@ def local_indices(M, point, kmax: int = 12,
         f"kmax = {kmax} too small: found {len(alphas)} of {r} indices")
 
 
-@functools.lru_cache(maxsize=32)
-def _circle_powers(nsamp: int, s: int) -> tuple:
-    """The nodes w = exp(2 pi i k / nsamp) and their scalar powers w^s
-    (numpy's array power rounds differently), read-only."""
+@functools.lru_cache(maxsize=8)
+def _circle_nodes(nsamp: int):
+    """The nodes w = exp(2 pi i k / nsamp), read-only."""
     ws = np.exp(1j * (2 * math.pi * np.arange(nsamp) / nsamp))
-    wss = np.array([w ** s for w in ws])
-    ws.flags.writeable = wss.flags.writeable = False
-    return ws, wss
-
-
-def _default_pole_order(M, lam: complex) -> int:
-    """For a RatMat, the largest multiplicity in an entry denominator of
-    the rational point nearest lam (denominators up to 10^12); else 0.
-    A denominator that does not vanish there but is numerically zero at
-    lam has a root there that no rational point names, so the pole order
-    must be given: that raises InputError."""
-    if not isinstance(M, RatMat):
-        return 0
-    re = Fraction(lam.real).limit_denominator(10 ** 12)
-    im = Fraction(lam.imag).limit_denominator(10 ** 12)
-    ex = GaussRat(QQ(re.numerator, re.denominator),
-                  QQ(im.numerator, im.denominator))
-    dens = {e.den for row in M.entries for e in row if not e.den.is_constant}
-    order = 0
-    for p in dens:
-        k = p.multiplicity_at(ex)
-        if not k and _numerically_zero(p, lam):
-            raise InputError(
-                f"an entry denominator is numerically zero at {lam} but "
-                "vanishes at no nearby rational point; give pole_order")
-        order = max(order, k)
-    return order
-
-
-def _numerically_zero(p: Poly, lam: complex) -> bool:
-    """|p(lam)| at most 1e-8 (about the square root of the unit roundoff)
-    times the sum of |c_k| |lam|^k, both in one Horner pass."""
-    val, size, r = 0j, 0.0, abs(lam)
-    for x in reversed(p.nums):
-        c = x / p.den
-        val = val * lam + c
-        size = size * r + abs(c)
-    return abs(val) <= 1e-8 * size
+    ws.flags.writeable = False
+    return ws
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,10 @@ def verify_rse(H1: Amd, H2: Amd, w: RseWitness) -> bool:
 
 
 def fse_to_rse(H1: Amd, H2: Amd, w: FseWitness) -> RseWitness:
-    """Constructive half of the fse = rse theorem, padding at p = r + ell."""
+    """Constructive half of the fse = rse theorem, padding at p = r + ell.
+    The witness must pass verify_fse, else InputError."""
+    if not verify_fse(H1, H2, w):
+        raise InputError("not a Fuhrmann witness for these AMDs")
     r, ell = H1.state_dim, H2.state_dim
     # Bezout certificates from the two coprimeness side conditions
     x_hat, y_hat = polymat.solve_bezout(
@@ -251,10 +254,8 @@ def fse_to_rse(H1: Amd, H2: Amd, w: FseWitness) -> RseWitness:
     x_rse = (-H2.C).hstack(w.X)
     # the proof identity reads X (I ⊕ H1) = (I ⊕ H2) Y' with right factor
     # [[-X̃, Ỹ A1], [I, N]]; X̃ N + Ỹ A1 = I, which the correction keeps as
-    # M A1 = A2 N, makes [[-N, I - N X̃], [I, X̃]] its inverse, the Def. sse
-    # right factor
-    if x_til.hstack(y_til) @ w.N.vstack(H1.A) != PolyMat.identity(r):
-        raise SingularMatrixError("matrix is not unimodular")
+    # the witness has M A1 = A2 N, makes [[-N, I - N X̃], [I, X̃]] its
+    # inverse, the Def. sse right factor
     n_inv = PolyMat.block([
         [-w.N, PolyMat.identity(ell) - w.N @ x_til],
         [PolyMat.identity(r), x_til],

@@ -704,6 +704,13 @@ class TestCliInProcess:
         assert exc.value.code == 2
         assert "unrecognized arguments: --circle" in capsys.readouterr().err
 
+    def test_local_indices_at_an_irrational_pole(self, capsys, workdir):
+        (workdir / "p.mm").write_text(
+            "meromat/1 matrix\nkind rational\nsize 1 1\nrow 1/(z^2 - 2)\n")
+        code, out = self.run(capsys, "local-indices", "--json",
+                             "--point=1.4142135623730951,0", "p.mm")
+        assert code == 0 and json.loads(out)["indices"] == [-1]
+
     def test_singular_matrix_exits_1(self, capsys, workdir):
         (workdir / "s.mm").write_text(
             "meromat/1 matrix\nkind polynomial\nsize 2 2\n"

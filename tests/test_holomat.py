@@ -22,7 +22,7 @@ from meromat.errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from meromat.exactalg import QQ, GaussRat, Poly, RatFn, real_factor
+from meromat.exactalg import QQ, Poly, RatFn, real_factor
 from meromat.holomat import (
     Contour,
     QuasiPolyEntry,
@@ -40,7 +40,7 @@ from meromat.holomat import (
 )
 from meromat.polymat import PolyMat
 from meromat.ratmat import RatMat
-from meromat.sysmat import Amd, transfer_function
+from meromat.sysmat import Amd, is_irreducible, transfer_function
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -445,6 +445,23 @@ class TestRoots:
         assert mult == 1
         assert abs(z - 0.5671432904097838) < 1e-6
 
+    @pytest.mark.parametrize("hit, want", [(0j, 0j), (None, 2e-7 + 0j)])
+    def test_floor_cell_runs_newton_once(self, monkeypatch, hit, want):
+        # a cell at the size floor whose Newton result fails the cluster
+        # check reports that result (even 0j), else the cell center
+        runs = []
+
+        def newton(ev, start, mult, tol):
+            runs.append(start)
+            return hit
+
+        monkeypatch.setattr(holomat, "_newton", newton)
+        monkeypatch.setattr(holomat, "_verify_cluster", lambda *args: False)
+        out = []
+        holomat._locate(None, holomat._Box(0, 4e-7, -2e-7, 2e-7), 1,
+                        1e-8, 1e-6, out)
+        assert out == [(want, 1)] and len(runs) == 1
+
 
 class TestLocalIndices:
     def test_pole_zero_pair(self):
@@ -508,10 +525,10 @@ class TestLocalIndices:
         roots = ratmat.poly_roots(Z * Z - 2)
         assert len(roots) == 2
         for h, _ in roots:
-            res = local_indices(m, h, pole_order=1)
+            res = local_indices(m, h)
             assert res.values == (-1,)
             assert res.point is h
-            assert local_indices(m, h.value, pole_order=1).values == (-1,)
+            assert local_indices(m, h.value).values == (-1,)
 
 
 def oracle_cases():
@@ -600,8 +617,8 @@ class TestLocalIndicesOracle:
         m = RatMat([[RatFn(ONE, Z), RatFn.coerce(Z)],
                     [RatFn(0), RatFn.coerce(Z + ONE)]])
         ev = CountingEvaluable(m)
-        assert local_indices(ev, 0, pole_order=1).values == \
-            local_indices(m, 0).values
+        assert local_indices(ev, 0).values == \
+            ratmat.pole_zero_index(m, 0).values
         assert ev.calls == ["eval_many"]
 
     @pytest.mark.parametrize("k", [11, 12, 14])
@@ -650,14 +667,16 @@ class TestLocalIndicesOracle:
     @pytest.mark.parametrize("nsamp, s", [(256, 0), (256, 3), (512, 1),
                                           (256, -2)])
     def test_cached_circle_powers(self, nsamp, s):
-        ws, wss = holomat._circle_powers(nsamp, s)
+        ws = holomat._circle_nodes(nsamp)
         theta = 2 * math.pi * np.arange(nsamp) / nsamp
         assert bits(ws).tolist() == bits(np.exp(1j * theta)).tolist()
-        assert bits(wss).tolist() == bits([w ** s for w in ws]).tolist()
-        assert holomat._circle_powers(nsamp, s)[1] is wss
-        for a in (ws, wss):
-            with pytest.raises(ValueError):
-                a[0] = 0
+        assert holomat._circle_nodes(nsamp) is ws
+        with pytest.raises(ValueError):
+            ws[0] = 0
+        # rolling the coefficients by s is multiplying the samples by w^s
+        vals = np.random.default_rng(nsamp + s).standard_normal(nsamp)
+        rolled = np.roll(np.fft.fft(vals), s)
+        assert np.allclose(rolled, np.fft.fft(vals * ws ** s), atol=1e-12)
 
 
 class FixedSamples:
@@ -978,62 +997,93 @@ class TestContourInput:
             roots_in_region(m, (0, 2, -1, 1), tol=math.nan)
 
 
-def old_pole_order(M, lam):
-    """The pole order local_indices used to take by default: the exact
-    point rebuilt for every entry."""
-    from fractions import Fraction
+class Wrapped:
+    """A matrix behind the batch protocol alone, so that local_indices sees
+    nothing of its type."""
 
-    def multiplicity(p):
-        re = Fraction(lam.real).limit_denominator(10 ** 12)
-        im = Fraction(lam.imag).limit_denominator(10 ** 12)
-        ex = GaussRat(QQ(re.numerator, re.denominator),
-                      QQ(im.numerator, im.denominator))
-        if not p.eval_exact(ex):
-            return p.multiplicity_at(ex)
-        return 0
+    def __init__(self, M):
+        self.m, self.shape = M, M.shape
 
-    if not isinstance(M, RatMat):
-        return 0
-    return max((multiplicity(e.den) for row in M.entries for e in row
-                if not e.den.is_constant), default=0)
+    def eval_many(self, zs):
+        return self.m.eval_many(zs)
+
+    def eval_pair_many(self, zs):
+        return self.m.eval_pair_many(zs)
 
 
-class TestDefaultPoleOrder:
-    POINTS = [0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 1 + 1e-13j, 0.5 + 0j,
-              3 + 0j, 1j, -1 + 0.25j, 1 / 3 + 0j]
+class TestSampledPoleOrder:
+    """The pole order that local_indices reads from its own samples."""
 
-    def test_matches_per_entry_helper(self):
+    POINTS = (QQ(0), QQ(1), QQ(-1), QQ(2), QQ(-2), QQ(1, 2), QQ(3),
+              QQ(1, 3))
+
+    def test_matches_pole_zero_index(self):
         rng = random.Random(1729)
-        seen = set()
+        checked, orders = 0, set()
         for _ in range(40):
             m = rand_ratmat(rng, rng.randint(1, 3), rng.randint(1, 3))
+            smm = ratmat.smith_mcmillan(m)
             for lam in self.POINTS:
-                got = holomat._default_pole_order(m, lam)
-                assert got == old_pole_order(m, lam)
-                seen.add(got)
-        assert {0, 1, 2} <= seen
+                exact = ratmat.pole_zero_index(m, lam).values
+                s = max((e.den.multiplicity_at(lam) for row in m.entries
+                         for e in row), default=0)
+                if max(exact, default=0) + s > 10 or not isolated(smm, lam):
+                    continue
+                assert local_indices(m, float(lam)).values == exact, (m, lam)
+                checked += 1
+                orders.add(s)
+        assert checked >= 100
+        assert {0, 1, 2} <= orders
 
-    def test_other_kinds(self):
-        m = PolyMat([[Z * Z]])
-        assert holomat._default_pole_order(m, 0j) == 0
-        assert holomat._default_pole_order(RatMat([[RatFn(ONE, Z ** 3)]]),
-                                           0j) == 3
-
-    def test_irrational_pole_needs_an_order(self):
+    def test_irrational_pole(self):
         m = RatMat([[RatFn(ONE, Z * Z - 2)]])
-        # no rational point near sqrt(2) is a root of z^2 - 2, so the
-        # order would read 0; the numeric zero of the denominator refuses
         for lam in (2 ** 0.5, -(2 ** 0.5)):
-            with pytest.raises(InputError, match="pole_order"):
-                local_indices(m, lam)
-        assert local_indices(m, 2 ** 0.5, pole_order=1).values == (-1,)
+            assert local_indices(m, lam).values == (-1,)
         # a rational pole of another entry does not hide the irrational one
         both = RatMat([[RatFn(ONE, Z * Z - 2), RatFn(ONE, Z - 1)]])
-        with pytest.raises(InputError):
-            holomat._default_pole_order(both, 2 ** 0.5)
-        assert holomat._default_pole_order(both, 1 + 0j) == 1
-        # near, but not at, a root is no pole
-        assert holomat._default_pole_order(m, 1.5 + 0j) == 0
+        assert local_indices(both, 2 ** 0.5).values == (-1,)
+        assert local_indices(both, 1).values == (-1,)
+
+    def test_behind_the_batch_protocol(self):
+        for f, want in ((RatFn(Z + 2, Z * (Z - 1)), (-1,)),
+                        (RatFn(ONE, Z), (-1,)), (RatFn(ONE, Z ** 2), (-2,)),
+                        (RatFn(ONE, Z ** 3), (-3,)),
+                        (RatFn(Z ** 3, Z + 1), (3,))):
+            m = RatMat([[f]])
+            assert ratmat.pole_zero_index(m, 0).values == want
+            assert local_indices(Wrapped(m), 0).values == want
+        assert local_indices(Wrapped(PolyMat([[Z * Z]])), 0).values == (2,)
+
+
+class TestTransferFunctionPoles:
+    """At a simple zero of det A where the AMD is irreducible, the transfer
+    function D + C A^-1 B has the pole index -1: the pole indices there are
+    the negated nonzero zero indices of A (Kailath 1980, section 6.5, for
+    the system matrix of an AMD)."""
+
+    def test_delay_system_roots(self):
+        mpmath = pytest.importorskip("mpmath")
+        h = build_tds_amd(README_TDS)
+        g = transfer_function(h)
+        roots = roots_in_region(h.A, (-3, 3, -3, 3))
+        assert [m for _, m in roots] == [1, 1, 1]
+        for lam, _ in roots:
+            # det A = z^2 + 1 - e^-z / 2
+            ref = complex(mpmath.findroot(
+                lambda z: z * z + 1 - mpmath.exp(-z) / 2, lam))
+            assert abs(ref - lam) < 1e-8
+            assert local_indices(g, lam).values == (-1,)
+
+    def test_polynomial_amd_matches_the_exact_index(self):
+        # det A = (z - 1)(z - 2)(z + 1/2), each root simple
+        a = PolyMat([[Z - 1, ONE, 0], [0, Z - 2, ONE], [0, 0, Z + QQ(1, 2)]])
+        h = Amd(A=a, B=PolyMat([[0, 0], [1, 0], [0, 1]]),
+                C=PolyMat([[1, 0, 0], [0, 1, 1]]), D=PolyMat.zeros(2, 2))
+        assert is_irreducible(h)
+        g = transfer_function(h)
+        for lam in (QQ(1), QQ(2), QQ(-1, 2)):
+            assert ratmat.pole_zero_index(g, lam).values == (-1, 0)
+            assert local_indices(Wrapped(g), float(lam)).values == (-1, 0)
 
 
 # ---------------------------------------------------------------------------
