@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .exactalg import QQ, Poly, _lift
-from .linalg_exact import DenseMat
+from .linalg_exact import _EXP_LIMIT, DenseMat
 from .polymat import PolyMat
 from .ratmat import IndexTuple, RootHandle
 
@@ -45,21 +46,6 @@ __all__ = [
     "build_tds_amd",
     "tds_pole_count",
 ]
-
-_EXP_LIMIT = 700.0  # beyond this |Re(z)|*tau, exp over/underflows badly
-
-
-def _delay_factors(tau, zs):
-    """e^{-tau z} at a vector of nodes, computed as QuasiPolyEntry computes
-    it, with the same AnalysisError where it would overflow."""
-    t = -float(tau)
-    over = t * zs.real > _EXP_LIMIT
-    if over.any():
-        z = zs[over.argmax()]
-        raise AnalysisError(
-            f"exponential overflow at Re(z) = {z.real:g}, tau = {tau}")
-    return np.array([cmath.exp(t * z) for z in zs.tolist()], dtype=complex)
-
 
 class QuasiPolyEntry:
     """Finite sum of p(z) * exp(-tau z) terms with exact polynomial p and
@@ -192,7 +178,6 @@ class QuasiPolyMat(DenseMat):
     __slots__ = DenseMat.SLOTS
     entry = QuasiPolyEntry
     kind = "quasipoly"
-    _delay = staticmethod(_delay_factors)
 
     @staticmethod
     def _split(e):
@@ -235,35 +220,12 @@ class _QpTransferEvaluable:
         return self.eval_many([z])[0]
 
 
-class _Pointwise:
-    """Node vectors for an object that evaluates one node at a time, its
-    values by `eval(z)` and its derivative by `eval_deriv(z)`."""
-
-    __slots__ = ("shape", "inner")
-
-    def __init__(self, inner):
-        self.shape, self.inner = tuple(inner.shape), inner
-
-    def _stack(self, f, zs):
-        zs = np.asarray(zs, dtype=complex).tolist()
-        return np.array([f(z) for z in zs],
-                        dtype=complex).reshape((len(zs),) + self.shape)
-
-    def eval_many(self, zs):
-        return self._stack(self.inner.eval, zs)
-
-    def eval_pair_many(self, zs):
-        return self.eval_many(zs), self._stack(self.inner.eval_deriv, zs)
-
-
 def as_evaluable(M):
-    """M itself when it evaluates node vectors, values (`eval_many`, arrays
-    of shape (k, rows, cols)) and values with derivatives (`eval_pair_many`);
-    an adapter when it evaluates one node at a time (`eval`, `eval_deriv`)."""
+    """M itself when it evaluates node vectors: `shape`, values by
+    `eval_many(zs)` (arrays of shape (k, rows, cols)) and values with
+    derivatives by `eval_pair_many(zs)`."""
     if hasattr(M, "eval_many") and hasattr(M, "eval_pair_many"):
         return M
-    if hasattr(M, "eval") and hasattr(M, "eval_deriv"):
-        return _Pointwise(M)
     raise InputError(f"cannot evaluate object of type {type(M).__name__}")
 
 
@@ -421,6 +383,9 @@ class CountResult:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# panels split off centre: halves of a panel that a reflection of the
+# integrand maps onto itself could sum to its rule at a principal value
+_SPLIT = 0.48
 # panels refined per call of the integrand; a small cap keeps the work of a
 # count that cannot converge close to that of one panel at a time
 _BATCH = 4
@@ -449,11 +414,12 @@ class _Panel:
 
 def _integrate(g, segments, tol: float, budget: _SubdivBudget):
     """Sum over the segments (z(t), z'(t)) of the integral of g(z) z' over
-    t in [0, 1] by adaptive 16-point Gauss-Legendre panels: a panel whose
-    rule misses the sum of its halves' rules by more than its tolerance is
-    split, each half taking half the tolerance. Up to _BATCH panels are
-    taken depth first, evaluated in one call of g, summed in node order
-    and folded as a recursion adds them: no bit depends on _BATCH."""
+    t in [0, 1] by adaptive 16-point Gauss-Legendre panels: a panel is cut
+    at _SPLIT of its width, and if its rule misses the sum of its two
+    parts' rules by more than its tolerance it is split there, each part
+    taking half the tolerance. Up to _BATCH panels are taken depth first,
+    evaluated in one call of g, summed in node order and folded as a
+    recursion adds them: no bit depends on _BATCH."""
     roots = [_Panel(seg, 0.0, 1.0, tol) for seg in segments]
     made, stack = list(roots), roots[::-1]  # made: parents before halves
     while stack:
@@ -461,7 +427,7 @@ def _integrate(g, segments, tol: float, budget: _SubdivBudget):
         del stack[-_BATCH:]
         zs, dzs, halves = [], [], []
         for p in batch:
-            mid = 0.5 * (p.a + p.b)
+            mid = p.a + _SPLIT * (p.b - p.a)
             ends = [(p.a, p.b)] if p.whole is None else []  # segment rule
             ends += [(p.a, mid), (mid, p.b)]
             halves += [0.5 * (b - a) for a, b in ends]
@@ -469,7 +435,7 @@ def _integrate(g, segments, tol: float, budget: _SubdivBudget):
                                 for a, b in ends])
             zs.append(p.seg[0](t))
             dzs.append(p.seg[1](t))
-        v = _cmul(g(np.concatenate(zs)), np.concatenate(dzs))
+        v = g(np.concatenate(zs)) * np.concatenate(dzs)
         sums = iter([sum((_GL_WEIGHTS * v[16 * i:16 * i + 16]).tolist(), 0j)
                      * h for i, h in enumerate(halves)])
         mark = len(made)
@@ -488,7 +454,7 @@ def _integrate(g, segments, tol: float, budget: _SubdivBudget):
                 raise ConvergenceError(
                     "quadrature subdivision budget exhausted")
             budget.left -= 1
-            mid = 0.5 * (p.a + p.b)
+            mid = p.a + _SPLIT * (p.b - p.a)
             p.halves = (_Panel(p.seg, p.a, mid, p.tol / 2, lo),
                         _Panel(p.seg, mid, p.b, p.tol / 2, hi))
             made += p.halves
@@ -517,15 +483,6 @@ def _check_proximity(ev, contour: Contour, samples: int = 256):
         raise ContourError(
             "contour passes too close to a zero or pole "
             f"(min/max boundary |det| = {low:.3g}/{top:.3g})")
-
-
-def _cmul(a, b):
-    """a * b elementwise by CPython's complex product; numpy's own may
-    fuse multiply-adds and round differently."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _log_deriv_trace(ev):
@@ -614,9 +571,11 @@ def _count_in_box(ev, box: _Box, tol: float) -> int:
     return count_zeros_minus_poles(ev, _box_contour(box, tol)).n_minus_p
 
 
-def _newton(ev, start: complex, mult: int, tol: float, max_iter: int = 80):
+def _newton(ev, box: _Box, mult: int, tol: float, max_iter: int = 80):
+    """Newton's iteration for a root of multiplicity mult from the center
+    of the box; None if it fails or an iterate leaves the box."""
     g = _log_deriv_trace(ev)
-    z = start
+    z = box.center
     for _ in range(max_iter):
         try:
             gz = complex(g([z])[0])
@@ -626,6 +585,8 @@ def _newton(ev, start: complex, mult: int, tol: float, max_iter: int = 80):
             return None
         step = mult / gz
         z = z - step
+        if not box.contains(z):
+            return None
         if abs(step) < tol:
             return z
     return None
@@ -667,7 +628,9 @@ def roots_in_region(f, box, tol: float = 1e-8) -> list:
     """All zeros of det f inside the rectangle, with multiplicities.
 
     `box` is (x0, x1, y0, y1). The matrix must be regular and pole-free in
-    the region; multiplicities always sum to the region count.
+    the region; multiplicities always sum to the region count. Roots come
+    by real part, and those whose real parts lie within the cell floor of
+    the one before by imaginary part.
     """
     ev = as_evaluable(f)
     try:
@@ -686,7 +649,12 @@ def roots_in_region(f, box, tol: float = 1e-8) -> list:
     if got != total:
         raise AnalysisError(
             f"located multiplicities sum to {got}, region count is {total}")
-    return sorted(found, key=lambda rm: (rm[0].real, rm[0].imag))
+    found.sort(key=lambda rm: rm[0].real)
+    # a real part within min_cell of the previous one ties; ties go by .imag
+    ties = itertools.accumulate((b.real - a.real > min_cell for (a, _), (b, _)
+                                 in zip(found, found[1:])), initial=0)
+    return [rm for _, rm in sorted(zip(ties, found),
+                                   key=lambda tr: (tr[0], tr[1][0].imag))]
 
 
 def _locate(ev, box: _Box, count: int, tol: float, min_cell: float, out):
@@ -694,9 +662,8 @@ def _locate(ev, box: _Box, count: int, tol: float, min_cell: float, out):
         return
     # try a direct (cluster-aware) Newton hit before subdividing
     radius = min(box.diameter / 3, max(10 * tol, min_cell))
-    z = _newton(ev, box.center, count, tol)
-    if z is not None and box.contains(z) and _verify_cluster(
-            ev, z, count, tol, radius):
+    z = _newton(ev, box, count, tol)
+    if z is not None and _verify_cluster(ev, z, count, tol, radius):
         out.append((z, count))
         return
     if box.diameter <= min_cell:

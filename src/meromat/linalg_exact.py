@@ -112,70 +112,45 @@ def matmul(a, b, zero, cols):
 
 
 # ---------------------------------------------------------------------------
-# numeric form: coefficient arrays evaluated on node vectors
-#
-# Values are real arrays of shape (2, k, rows, cols): real parts, then
-# imaginary parts. numpy's own complex multiply and divide round differently
-# from CPython's (fused multiply-adds, another division formula), so the
-# products and quotients below apply the formulas of CPython's
-# complexobject.c to the parts. Each value then equals the entry's own
-# __call__ at that node bit for bit.
+# numeric form: coefficient arrays evaluated on node vectors in numpy's
+# complex arithmetic, within the rounding bound of DenseMat.eval_many
+
+_EXP_LIMIT = 700.0  # beyond this |Re(z)|*tau, exp over/underflows badly
 
 
 def _coeff_array(polys, shape):
-    """Parts of the coefficients of a grid of Poly, highest degree first,
-    zero padded to the largest degree: shape (deg + 1, 2, 1, rows, cols),
-    the 1 standing for the node axis."""
+    """Coefficients of a grid of Poly, highest degree first, zero padded to
+    the largest degree: shape (deg + 1, 1, rows, cols), the 1 standing for
+    the node axis."""
     deg = max(max((p.degree for row in polys for p in row), default=0), 0)
-    out = np.zeros((deg + 1, 2, 1) + shape)
+    out = np.zeros((deg + 1, 1) + shape)
     for i, row in enumerate(polys):
         for j, p in enumerate(row):
             # int / int rounds once, as float(Fraction) does
             for d, x in enumerate(p.nums):
-                out[deg - d, 0, 0, i, j] = x / p.den
+                out[deg - d, 0, i, j] = x / p.den
     return out
 
 
-def _multiplier(w):
-    """(wa, wb) for a vector w, each of shape (2, k, 1, 1), such that
-    a[0] * wa + a[1] * wb is a * w by CPython's (ac - bd) + (ad + bc)i:
-    x - y is exactly x + (-y)."""
-    m = np.empty((2, 2, len(w), 1, 1))
-    m[0, 0, :, 0, 0] = m[1, 1, :, 0, 0] = w.real
-    m[0, 1, :, 0, 0] = w.imag
-    m[1, 0, :, 0, 0] = -w.imag
-    return m
-
-
-def _horner(coeffs, za, zb):
-    """acc = acc * z + c from acc = 0j. At a finite node the first step
-    gives the leading coefficient exactly, and a zero leading coefficient
-    keeps acc at exactly 0j, so the zero padding changes no bit."""
+def _horner(coeffs, zs):
+    """acc = acc * z + c at nodes zs of shape (k, 1, 1). At a finite node
+    a zero leading coefficient leaves acc at a zero whose sign the next
+    coefficient's addition clears, so the zero padding changes no bit."""
     acc = coeffs[0]
     for c in coeffs[1:]:
-        acc = acc[0] * za + acc[1] * zb + c
+        acc = acc * zs + c
     return acc
 
 
-def _quotient(a, b, zs):
-    """a / b by Smith's algorithm, as CPython divides; a denominator
-    exactly 0 at a node raises AnalysisError."""
-    pole = (b[0] == 0) & (b[1] == 0)
-    if pole.any():
-        z = zs[np.argwhere(pole)[0][0]]
-        raise AnalysisError(f"a denominator vanishes at z = {z}")
-    # divide through by the part of larger magnitude: (s, t) is (br, bi)
-    # when |br| >= |bi|, else (bi, br), and (u, v) swaps alike
-    big = np.abs(b[0]) >= np.abs(b[1])
-    s, t = np.where(big, b, b[::-1])
-    u, v = np.where(big, a, a[::-1])
-    out = np.empty(a.shape)
-    with np.errstate(all="ignore"):  # CPython overflows to inf silently
-        ratio = t / s
-        out[0] = u + v * ratio
-        out[1] = np.where(big, v - u * ratio, u * ratio - v)
-        out /= s + t * ratio
-    return out
+def _delay_factors(tau, zs):
+    """e^{-tau z} at a vector of nodes; AnalysisError where it would
+    overflow."""
+    t = -float(tau)
+    over = t * zs.real > _EXP_LIMIT
+    if over.any():
+        raise AnalysisError(f"exponential overflow at Re(z) = "
+                            f"{zs[over.argmax()].real:g}, tau = {tau}")
+    return np.exp(t * zs)
 
 
 class _Numeric:
@@ -183,19 +158,17 @@ class _Numeric:
     one coefficient array per delay tau and one for the denominator.
 
     `split(e)` gives an entry as (((p, tau), ...), den): tau None marks the
-    one term without a factor, den None means no division. `delay(tau, zs)`
-    gives the factors e^{-tau z} at a vector of nodes.
+    one term without a factor, den None means no division.
     """
 
-    __slots__ = ("shape", "terms", "den", "delay")
+    __slots__ = ("shape", "terms", "den")
 
-    def __init__(self, grid, shape, split, delay):
+    def __init__(self, grid, shape, split):
         parts = [[split(e) for e in row] for row in grid]
         # all None (one term, no factor) or all exact delays
         taus = sorted({tau for row in parts for terms, _ in row
                        for _, tau in terms})
         self.shape = shape
-        self.delay = delay
         self.terms = tuple(
             (tau, _coeff_array([[{t: p for p, t in terms}.get(tau, _P_ZERO)
                                  for terms, _ in row] for row in parts], shape))
@@ -209,20 +182,21 @@ class _Numeric:
         zs = np.asarray(zs, dtype=complex)
         if zs.ndim != 1:
             raise InputError("evaluation nodes must form a vector")
-        za, zb = _multiplier(zs)
-        val = np.zeros((2,) + zs.shape + self.shape)
+        col = zs[:, None, None]
+        val = np.zeros(zs.shape + self.shape, dtype=complex)
         for tau, coeffs in self.terms:
-            term = _horner(coeffs, za, zb)
+            term = _horner(coeffs, col)
             if tau is not None:
-                ea, eb = _multiplier(self.delay(tau, zs))
-                term = term[0] * ea + term[1] * eb
-            # acc = 0j, then acc += term, as the entries sum their terms
-            val = val + term
-        if self.den is not None:
-            val = _quotient(val, _horner(self.den, za, zb), zs)
-        out = np.empty(val.shape[1:], dtype=complex)
-        out.real, out.imag = val
-        return out
+                term = term * _delay_factors(tau, zs)[:, None, None]
+            val += term
+        if self.den is None:
+            return val
+        den = _horner(self.den, col)
+        if len(pole := np.argwhere(den == 0)):
+            raise AnalysisError(
+                f"a denominator vanishes at z = {zs[pole[0][0]]}")
+        with np.errstate(all="ignore"):  # a quotient may overflow to inf
+            return val / den
 
 
 class DenseMat:
@@ -230,12 +204,11 @@ class DenseMat:
     tuples.
 
     A subclass names its entry type `entry` (with a `coerce` constructor,
-    `is_zero`, `derivative` and complex evaluation) and its ring tag
-    `kind`, the tag of the `meromat/1` file format, says how an entry
-    splits for numeric evaluation (`_split`, and `_delay` when entries
-    carry delays; see `_Numeric`), and declares the slots `SLOTS` on
-    itself, so that code reading `type(M).__slots__` sees the fields of a
-    matrix. Matrices of different subclasses never compare equal, even with
+    `is_zero` and `derivative`) and its ring tag `kind`, the tag of the
+    `meromat/1` file format, says how an entry splits for numeric
+    evaluation (`_split`; see `_Numeric`), and declares the slots `SLOTS`
+    on itself, so that code reading `type(M).__slots__` sees the fields of
+    a matrix. Matrices of different subclasses never compare equal, even with
     equal entries. A matrix with no rows keeps the column count `cols` that
     its constructor is given. The constructor coerces every entry (one it
     cannot take is an InputError naming its row and column) and checks the
@@ -259,7 +232,6 @@ class DenseMat:
     entry = None
     kind = None
     _split = None
-    _delay = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -430,10 +402,12 @@ class DenseMat:
     # -- evaluation -------------------------------------------------------
 
     def eval_many(self, zs):
-        """Values at a vector of k nodes, shape (k, rows, cols); each equals
-        the entry's own evaluation at that node bit for bit."""
+        """Values at a vector of k nodes, shape (k, rows, cols), each within
+        a small multiple of the unit roundoff times the entry evaluated with
+        absolute coefficients at |z|, over |den(z)| for a quotient, of the
+        exact value (Higham, Accuracy and Stability, section 5.1)."""
         return self._keep("numeric", lambda m: _Numeric(
-            m.entries, m.shape, m._split, m._delay)).at(zs)
+            m.entries, m.shape, m._split)).at(zs)
 
     def eval_pair_many(self, zs):
         """(values, values of the exact entrywise derivative) at a vector of
@@ -443,7 +417,7 @@ class DenseMat:
         c = self.cols
         both = self._keep("numeric_pair", lambda m: _Numeric(
             [row + tuple(e.derivative() for e in row) for row in m.entries],
-            (m.rows, 2 * c), m._split, m._delay)).at(zs)
+            (m.rows, 2 * c), m._split)).at(zs)
         return both[..., :c], both[..., c:]
 
     def eval(self, z: complex):

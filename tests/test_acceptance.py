@@ -215,13 +215,18 @@ class _DiagExample:
 
     shape = (2, 2)
 
-    def eval(self, z):
-        return np.array([[z, 0], [0, (z - 1) / (np.exp(z) - 1)]])
+    def eval_many(self, zs):
+        return self.eval_pair_many(zs)[0]
 
-    def eval_deriv(self, z):
+    def eval_pair_many(self, zs):
+        z = np.asarray(zs, dtype=complex)
         ez = np.exp(z)
         den = ez - 1
-        return np.array([[1, 0], [0, (den - (z - 1) * ez) / den ** 2]])
+        vals = np.zeros((len(z), 2, 2), dtype=complex)
+        ders = np.zeros((len(z), 2, 2), dtype=complex)
+        vals[:, 0, 0], vals[:, 1, 1] = z, (z - 1) / den
+        ders[:, 0, 0], ders[:, 1, 1] = 1, (den - (z - 1) * ez) / den ** 2
+        return vals, ders
 
 
 def test_argument_principle_suite():
