@@ -108,6 +108,21 @@ def _lin(a, ma, b, mb):
     return out
 
 
+def _addmul(a, ma, q, mq, b):
+    """ma * a + mq * q * b for nonempty b, without trailing zeros: each
+    product of q and b is added into the result as it is formed."""
+    out = [x * ma for x in a]
+    out += [0] * (len(q) + len(b) - 1 - len(out))
+    for i, x in enumerate(q):
+        if x:
+            x *= mq
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _pdiv(a, b, q=None):
     """(r, s) with s * a == q * b + r, deg r < deg b and s > 0, for
     len(a) >= len(b) and lc(b) > 0; a step scales by lc(b) / gcd(lc(b), top).
@@ -144,17 +159,16 @@ def _primitive(a):
 
 def _poly(nums, den):
     """The canonical Poly (see its docstring) of nums / den."""
-    n = len(nums)
-    while n and not nums[n - 1]:
-        n -= 1
-    nums = tuple(nums[:n])
+    while nums and not nums[-1]:
+        nums = nums[:-1]
+    nums = tuple(nums)
     if den != 1:  # with no numerators, g = den and den becomes 1
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         if g != 1:
             den, nums = den // g, tuple(x // g for x in nums)
     p = _new(Poly)
-    _set(p, "nums", nums)
-    _set(p, "den", den)
+    _set_nums(p, nums)
+    _set_den(p, den)
     return p
 
 
@@ -260,16 +274,18 @@ class Poly:
 
     def _plus(self, q, sign, y=None) -> "Poly":
         """self + sign * q over the least common denominator; with y, the
-        elimination step self + sign * q * y, whose product stays on the
-        integer numerators, so that only the result is normalised."""
-        qn, qd = q.nums, q.den
+        elimination step self + sign * q * y, formed in one pass on the
+        numerators (`_addmul`), so that only the result is normalised."""
+        qd = q.den
         if y is not None:
-            if not qn or not y.nums:
+            if not q.nums or not y.nums:
                 return self
-            qn, qd = _conv(qn, y.nums), qd * y.den
+            qd *= y.den
         g = gcd(self.den, qd)
         mp, mq = qd // g, self.den // g * sign
-        return _poly(_lin(self.nums, mp, qn, mq), self.den * mp)
+        if y is None:
+            return _poly(_lin(self.nums, mp, q.nums, mq), self.den * mp)
+        return _poly(_addmul(self.nums, mp, q.nums, mq, y.nums), self.den * mp)
 
     def _lead_inverse(self) -> tuple:
         """Parts of 1 / lc = den / nums[-1]."""
@@ -351,8 +367,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c) -> "Poly":
@@ -462,6 +479,8 @@ def _lift(value, coerce=Poly.const):
 
 _new = object.__new__
 _set = object.__setattr__
+# the slots' own setters, past Poly.__setattr__, which refuses every write
+_set_nums, _set_den = Poly.nums.__set__, Poly.den.__set__
 _P_ZERO = Poly(())
 _P_ONE = Poly((1,))
 _P_Z = Poly((0, 1))
@@ -619,10 +638,16 @@ class RatFn:
         return self.num(z) / self.den(z)
 
     def derivative(self) -> "RatFn":
-        return RatFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        """(num' h - num k) / (den h) with g = gcd(den, den'), h = den / g
+        and k = den' / g, reduced and monic as built: each irreducible
+        factor of den divides h once and divides neither k nor num."""
+        dd = self.den.derivative()
+        g = poly_gcd(self.den, dd)
+        h, k = self.den.exact_div(g), dd.exact_div(g)
+        out = _new(RatFn)
+        _set(out, "num", self.num.derivative() * h - self.num * k)
+        _set(out, "den", self.den * h if out.num else _P_ONE)
+        return out
 
     def polynomial_part(self) -> tuple[Poly, "RatFn"]:
         """Split f = p + f_sp with p polynomial and f_sp strictly proper."""

@@ -9,6 +9,8 @@ query; the Smith form of a square regular matrix starts from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd, lcm
 
 from . import linalg_exact
 from .errors import (
@@ -19,7 +21,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .exactalg import QQ, Poly
+from .exactalg import QQ, Poly, _addmul, _pdiv, _poly
 
 __all__ = [
     "PolyMat",
@@ -91,27 +93,79 @@ class GcrdResult:
 
 def _echelon(M: PolyMat):
     """Row Hermite echelon form H = U @ M, U unimodular, of any shape and
-    rank: the Smith pass `_triangularise` carried forward onto U, then each
-    pivot row made monic and the entries above its pivot reduced. Row k of
-    H has a monic pivot in column pivots[k], zeros below it and entries of
-    lower degree above it; rows past the last pivot are zero. Returns (H,
-    U, pivots, det U), det U a nonzero constant, kept on M as
-    `M._keep("echelon", _echelon)`."""
-    h = [list(row) for row in M.entries]
-    u = _eye(M.rows)
-    det_u = QQ(-1 if _triangularise(h, u, _fwd) % 2 else 1)
-    pivots = [next(j for j, x in enumerate(row) if not x.is_zero)
-              for row in h if not all(x.is_zero for x in row)]
+    rank, on integer rows: row i of [M | U] is a list of numerator lists
+    over one denominator D_i > 0 (U's part starts as D_i e_i), so Polys are
+    built only for H and U. The steps are those of the Smith pass
+    `_triangularise`, each by `_reduce`; then each pivot row is made monic
+    and the entries above its pivot reduced. Row k of H has a monic pivot
+    in column pivots[k], zeros below it and entries of lower degree above
+    it; rows past the last pivot are zero. Returns (H, U, pivots, det U),
+    det U a nonzero constant, kept on M as `M._keep("echelon", _echelon)`."""
+    m, n = M.rows, M.cols
+    dens = [lcm(*(x.den for x in row)) for row in M.entries]
+    rows = [[[c * (d // x.den) for c in x.nums] for x in row]
+            + [[d] if k == i else [] for k in range(m)]
+            for i, (row, d) in enumerate(zip(M.entries, dens))]
+    k = swaps = 0
+    for j in range(n if m else 0):
+        rest = [i for i in range(k, m) if rows[i][j]]
+        while rest:
+            piv = min(rest, key=lambda i: (len(rows[i][j]), i))
+            if piv != k:
+                rows[k], rows[piv] = rows[piv], rows[k]
+                dens[k], dens[piv] = dens[piv], dens[k]
+                swaps += 1
+            for i in range(k + 1, m):
+                if rows[i][j]:
+                    _reduce(rows, dens, i, k, j)
+            rest = [i for i in range(k + 1, m) if rows[i][j]]
+        if rows[k][j]:
+            k += 1
+            if k == m:
+                break
+    det_u = QQ(-1 if swaps % 2 else 1)
+    pivots = [next(j for j in range(n) if row[j])
+              for row in rows if any(row[:n])]
     for k, j in enumerate(pivots):
-        if not h[k][j].is_monic:
-            cn, cd = h[k][j]._lead_inverse()
-            h[k] = [a._scaled(cn, cd) for a in h[k]]
-            u[k] = [a._scaled(cn, cd) for a in u[k]]
-            det_u = det_u * cn / cd
+        lc, d = rows[k][j][-1], dens[k]
+        if lc != d:  # times d / lc: the row's numerators over lc
+            det_u = det_u * d / lc
+            if lc < 0:
+                lc, rows[k] = -lc, [[-c for c in x] for x in rows[k]]
+            _content(rows, dens, k, lc)
         for i in range(k):
-            if h[i][j].degree >= h[k][j].degree:
-                _fwd(h, u, i, k, h[i][j] // h[k][j])
-    return PolyMat._of(h, M.cols), PolyMat._of(u, M.rows), pivots, det_u
+            if len(rows[i][j]) >= len(rows[k][j]):
+                _reduce(rows, dens, i, k, j)
+    h = [[_poly(x, d) for x in row[:n]] for row, d in zip(rows, dens)]
+    u = [[_poly(x, d) for x in row[n:]] for row, d in zip(rows, dens)]
+    return PolyMat._of(h, n), PolyMat._of(u, m), pivots, det_u
+
+
+def _reduce(rows, dens, i, k, j):
+    """Row i -= (a // b) * row k on the integer rows of `_echelon`, a and
+    b their entries in column j, deg a >= deg b: with s * a = q' * b + r
+    (`_pdiv`), row i becomes (s * row i - q' * row k) / (s * D_i)."""
+    a, b, sign = rows[i][j], rows[k][j], -1
+    if b[-1] < 0:
+        b, sign = [-c for c in b], 1
+    q = [0] * (len(a) - len(b) + 1)
+    r, s = _pdiv(a, b, q)
+    row = [_addmul(x, s, q, sign, y) if y else x if s == 1 else
+           [c * s for c in x] for x, y in zip(rows[i], rows[k])]
+    while r and not r[-1]:
+        r.pop()
+    row[j] = r
+    rows[i] = row
+    _content(rows, dens, i, s * dens[i])
+
+
+def _content(rows, dens, i, d):
+    """Row i, whose numerators now stand over d, divided by its content
+    gcd(d, numerators), with one gcd for the whole row."""
+    g = gcd(d, *chain.from_iterable(rows[i]))
+    if g != 1:
+        rows[i] = [[c // g for c in x] for x in rows[i]]
+    dens[i] = d // g
 
 
 def det(A: PolyMat) -> Poly:
@@ -176,19 +230,13 @@ def _sub(a, t, i, k, q):
     t[k] = [x._plus(q, 1, y) for x, y in zip(t[k], t[i])]
 
 
-def _fwd(a, t, i, k, q):
-    """Row i of a -= q * row k, and the same row operation on t = U."""
-    _cut(a, t, i, k, q)
-    t[i] = [x._plus(q, -1, y) for x, y in zip(t[i], t[k])]
-
-
 def _triangularise(a, t, step):
-    """Row echelon form of a in place, without reduction above the pivots.
-    `step(a, t, i, k, q)` takes q times row k of a from row i and carries
-    that over to t, as its inverse (`_sub`, Smith), as itself (`_fwd`,
-    echelon) or not at all (`_cut`); swaps move rows of a and t together.
-    Returns their number."""
-    k = swaps = 0
+    """Row echelon form of a in place, without reduction above the pivots,
+    on Poly entries: a pass of the Smith form. `step(a, t, i, k, q)` takes
+    q times row k of a from row i and carries that over to t as its
+    inverse (`_sub`) or not at all (`_cut`); swaps move rows of a and t
+    together. `_echelon` takes the same steps on integer rows."""
+    k = 0
     for j in range(len(a[0]) if a else 0):
         rest = [i for i in range(k, len(a)) if not a[i][j].is_zero]
         while rest:
@@ -196,7 +244,6 @@ def _triangularise(a, t, step):
             if piv != k:
                 a[k], a[piv] = a[piv], a[k]
                 t[k], t[piv] = t[piv], t[k]
-                swaps += 1
             for i in range(k + 1, len(a)):
                 if not a[i][j].is_zero:
                     step(a, t, i, k, a[i][j] // a[k][j])
@@ -205,7 +252,6 @@ def _triangularise(a, t, step):
             k += 1
         if k == len(a):
             break
-    return swaps
 
 
 def _eye(n):

@@ -267,3 +267,59 @@ def ref_call(a, z: complex) -> complex:
     for c in reversed(a):
         acc = acc * z + complex(c)
     return acc
+
+
+# -- the row Hermite echelon on Poly entries, every step a row operation
+# in Poly's operators: an oracle for the integer rows of polymat._echelon
+
+
+def _oracle_fwd(a, t, i, k, q):
+    """Row i of a -= q * row k, and the same row operation on t = U."""
+    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+    t[i] = [x - q * y for x, y in zip(t[i], t[k])]
+
+
+def _oracle_triangularise(a, t, step):
+    """Row echelon form of a in place (pivot of least degree, then lowest
+    index), each step carried over to t; returns the number of swaps."""
+    k = swaps = 0
+    for j in range(len(a[0]) if a else 0):
+        rest = [i for i in range(k, len(a)) if not a[i][j].is_zero]
+        while rest:
+            piv = min(rest, key=lambda i: (a[i][j].degree, i))
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                t[k], t[piv] = t[piv], t[k]
+                swaps += 1
+            for i in range(k + 1, len(a)):
+                if not a[i][j].is_zero:
+                    step(a, t, i, k, a[i][j] // a[k][j])
+            rest = [i for i in range(k + 1, len(a)) if not a[i][j].is_zero]
+        if not a[k][j].is_zero:
+            k += 1
+        if k == len(a):
+            break
+    return swaps
+
+
+def echelon_oracle(M: PolyMat):
+    """(H, U, pivots, det U) of the row Hermite echelon H = U @ M, by Poly
+    row operations: triangularise, then make each pivot row monic and
+    reduce the entries above its pivot."""
+    one, zero = Poly.one(), Poly.zero()
+    h = [list(row) for row in M.entries]
+    u = [[one if i == j else zero for j in range(M.rows)]
+         for i in range(M.rows)]
+    det_u = QQ(-1 if _oracle_triangularise(h, u, _oracle_fwd) % 2 else 1)
+    pivots = [next(j for j, x in enumerate(row) if not x.is_zero)
+              for row in h if not all(x.is_zero for x in row)]
+    for k, j in enumerate(pivots):
+        if not h[k][j].is_monic:
+            inv = 1 / h[k][j].leading().re
+            h[k] = [a.scale(inv) for a in h[k]]
+            u[k] = [a.scale(inv) for a in u[k]]
+            det_u = det_u * inv
+        for i in range(k):
+            if h[i][j].degree >= h[k][j].degree:
+                _oracle_fwd(h, u, i, k, h[i][j] // h[k][j])
+    return PolyMat(h, M.cols), PolyMat(u, M.rows), pivots, det_u

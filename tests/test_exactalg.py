@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 from fractions import Fraction
@@ -33,6 +34,8 @@ from genutil import (
 )
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
+qpolys = st.lists(st.fractions(-6, 6, max_denominator=4),
+                  max_size=5).map(lambda cs: Poly([QQ(c) for c in cs]))
 
 
 def mkpoly(cs):
@@ -171,6 +174,28 @@ class TestRatFn:
         df = f.derivative()
         assert df == RatFn(Poly.const(QQ(-1)), z * z)
 
+    def test_derivative_against_quotient_rule(self):
+        """The derivative built reduced equals (num' den - num den') / den^2
+        reduced by RatFn, with repeated factors in the denominator,
+        constant denominators and zero derivatives among the cases."""
+        rng = random.Random(29)
+        pool = [Poly((QQ(c), QQ(1))) for c in (0, 1, -2, QQ(1, 3))] + [
+            Poly((QQ(1), QQ(0), QQ(1))), Poly((QQ(-2), QQ(1), QQ(3)))]
+        zero_derivatives = 0
+        for _ in range(2000):
+            num = rand_qpoly(rng, rng.choice((0, 0, 2, 4)), bits=3)
+            den = Poly.const(QQ(rng.randint(1, 9), rng.choice((1, -3))))
+            for _ in range(rng.choice((0, 0, 1, 2, 3))):
+                den = den * rng.choice(pool) ** rng.randint(1, 3)
+            f = RatFn(num, den)
+            want = RatFn(f.num.derivative() * f.den
+                         - f.num * f.den.derivative(), f.den * f.den)
+            got = f.derivative()
+            assert (got.num, got.den) == (want.num, want.den)
+            assert got.den.is_monic
+            zero_derivatives += got.is_zero
+        assert zero_derivatives > 100
+
     def test_polynomial_part(self):
         z = Poly.z()
         f = RatFn(z * z + Poly.one(), z)
@@ -292,6 +317,28 @@ class TestKernelDifferential:
             scaled = y._scaled(*y._lead_inverse())
             assert parts(scaled) == parts(y.scale(1 / y.leading().re))
             assert scaled.is_monic
+
+    @given(qpolys, qpolys, qpolys, st.sampled_from((-1, 1)),
+           st.sampled_from(("free", "cancel", "drop")))
+    @settings(max_examples=300)
+    def test_elimination_step_one_pass(self, x, q, y, sign, shape):
+        """x + sign * q * y, formed in one pass, is canonical and has the
+        coefficients of the reference arithmetic, also where q or y is
+        zero, where everything cancels and where the degree drops."""
+        prod = q * y
+        if shape == "cancel":
+            x = prod.scale(-sign)
+        elif shape == "drop":  # keeps only the terms of x below deg q*y
+            x = prod.scale(-sign) + Poly(x.coeffs[:max(prod.degree, 0)])
+        got = x._plus(q, sign, y)
+        assert fracs(got) == ref_add(fracs(x), ref_mul(fracs(q), fracs(y)),
+                                     sign)
+        assert got.nums[-1:] != (0,) and got.den > 0
+        assert math.gcd(got.den, *got.nums) == 1
+        if shape == "cancel":
+            assert got.is_zero
+        elif shape == "drop" and prod.degree > 0:
+            assert got.degree < prod.degree
 
     @pytest.mark.parametrize("big", [False, True])
     def test_gcd_lcm(self, big):
@@ -504,6 +551,24 @@ class TestKernelGuard:
             assert not hasattr(GaussRat, name)
             monkeypatch.setattr(Fraction, name, boom)
         assert [run(p, q) for p, q in cases] == want
+
+    def test_power_products(self, monkeypatch):
+        """z**n squares its base only while bits of n remain: one product
+        per set bit and one squaring per further bit."""
+        calls = []
+        real = Poly.__mul__
+
+        def counted(p, q):
+            calls.append(None)
+            return real(p, q)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        counts = []
+        for n in range(1, 9):
+            calls.clear()
+            assert Poly.z() ** n == Poly([0] * n + [1])
+            counts.append(len(calls))
+        assert counts == [1, 2, 3, 3, 4, 4, 5, 4]
 
     def test_scale_is_not_a_product(self, monkeypatch):
         # the traced run counts Poly.__mul__ calls as polynomial products

@@ -6,9 +6,12 @@ import time
 import pytest
 
 from genutil import (
+    echelon_oracle,
     fresh,
     minor_gcd,
+    rand_poly,
     rand_polymat,
+    rand_qpoly,
     rand_regular_polymat,
     rand_unimodular,
     record_calls,
@@ -331,6 +334,31 @@ class TestEchelon:
             if a.rows == a.cols:
                 assert sympy.expand(dm.det().as_expr()
                                     - to_sympy(polymat.det(a))) == 0
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_against_poly_entry_oracle(self, rational):
+        """H, U, pivots and det U from the integer rows equal (==) those of
+        the same elimination by Poly row operations, on square regular and
+        singular, wide, tall, rank-deficient, zero, 1 x n and n x 1
+        inputs, with integer entries or entries over mixed denominators."""
+        rng = random.Random(41 + rational)
+
+        def mat(rows, cols, deg=2):
+            return PolyMat([[rand_qpoly(rng, deg, bits=3) if rational
+                             else rand_poly(rng, deg)
+                             for _ in range(cols)] for _ in range(rows)])
+
+        ranks = set()
+        for _ in range(8):
+            n = rng.randint(2, 4)
+            for a in (mat(n, n), mat(n, n + 2), mat(n + 2, n), mat(1, n),
+                      mat(n, 1), mat(n, n - 1, 1) @ mat(n - 1, n, 1),
+                      mat(n + 1, 1, 1) @ mat(1, n, 1), PolyMat.zeros(n, 2)):
+                want = echelon_oracle(a)
+                assert polymat._echelon(a) == want
+                if a.rows == a.cols:
+                    ranks.add(len(want[2]) == a.rows)
+        assert ranks == {False, True}
 
     @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
     def test_zero_size(self, rows, cols):
