@@ -218,9 +218,12 @@ class DenseMat:
     Forms derived from a matrix are built on first use and kept in one
     slot, `_kept`, through `_keep`: the numeric forms of M and of [M | M']
     (coefficient arrays that evaluate whole vectors of nodes), the Hermite
-    echelon, the Smith or Smith-McMillan form, and the Smith-McMillan
-    factors alone ("smith_mcmillan_factors", built with no E or F for
-    the queries that read only the diagonal), each immutable.
+    echelon, the Smith or Smith-McMillan form, the Smith-McMillan factors
+    alone ("smith_mcmillan_factors", built with no E or F for the index
+    queries), and for a rational M its common denominator d with the
+    Hermite form of [d M; d I] modulo d ("hermite_mod", which gives the
+    right coprime MFD, the least order and the finite McMillan degree),
+    each immutable.
     Equality, hashing and pickling ignore the slot: equal matrices built
     apart build their own forms, and a pickled or copied matrix starts
     with none.

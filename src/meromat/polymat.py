@@ -3,7 +3,9 @@ gcrd/gcld, coprimeness certificates and Bezout equations.
 
 All computations are exact over rational coefficients. One row
 reduction to Hermite echelon form, kept on the matrix, answers every
-query; the Smith form of a square regular matrix starts from it.
+query; the Smith form of a square regular matrix starts from it. The
+coprime MFDs of a rational matrix do not use it: they take the Hermite
+form of a lattice that holds d I, reduced modulo d (`_hermite_mod`).
 """
 
 from __future__ import annotations
@@ -166,6 +168,57 @@ def _content(rows, dens, i, d):
     if g != 1:
         rows[i] = [[c // g for c in x] for x in rows[i]]
     dens[i] = d // g
+
+
+def _hermite_mod(A: PolyMat, d: Poly) -> PolyMat:
+    """The row Hermite form G of the lattice L spanned by the rows of
+    [A; d I], for a nonzero monic d: n x n, upper triangular with a monic
+    diagonal that divides d, entries above a pivot of lower degree. This
+    is the modular method of Domich, Kannan & Trotter (Math. Oper. Res.
+    12, 1987): L holds d e_k for every k, so any entry may be reduced
+    modulo d. For each column j a row d e_j joins the rows nonzero in
+    column j, and Euclid steps as in `_triangularise` (the row of least
+    degree there, first of them on a tie, reduces the others) run until
+    one row, the pivot row, is left, reducing every entry right of column
+    j modulo d (d e_k, k > j, joins later); then each pivot row is made
+    monic and the entries above it reduced, as in `_echelon`. Each step is
+    unimodular on the generators, so span(G) = L, and no entry outgrows
+    deg d. Reducing by the row of least degree keeps the coefficients
+    small too; Euclid of d e_j against one row at a time doubled their
+    size at every column (24k bits at 8 x 8)."""
+    n, deg = A.cols, d.degree
+    rows = [[x if x.degree < deg else x % d for x in row]
+            for row in A.entries]
+    g = []
+    for j in range(n):
+        live = [[_ZERO] * j + [d] + [_ZERO] * (n - j - 1)]
+        live += [r for r in rows if r[j]]
+        rows = [r for r in rows if not r[j]]
+        while len(live) > 1:
+            p = live.pop(min(range(len(live)),
+                             key=lambda i: live[i][j].degree))
+            rest = []
+            for r in live:
+                q, rj = divmod(r[j], p[j])
+                r = r[:j] + [rj] + [
+                    x if x.degree < deg else x % d
+                    for x in (x._plus(q, -1, y)
+                              for x, y in zip(r[j + 1:], p[j + 1:]))]
+                if rj:
+                    rest.append(r)
+                elif any(r):
+                    rows.append(r)
+            live = [p] + rest
+        g.append(live[0])
+    for k in range(n):
+        if not g[k][k].is_monic:
+            cn, cd = g[k][k]._lead_inverse()
+            g[k] = [x._scaled(cn, cd) for x in g[k]]
+        for i in range(k):
+            if g[i][k].degree >= g[k][k].degree:
+                q = g[i][k] // g[k][k]
+                g[i] = [x._plus(q, -1, y) for x, y in zip(g[i], g[k])]
+    return PolyMat._of(g, n)
 
 
 def det(A: PolyMat) -> Poly:

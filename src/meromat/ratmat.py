@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg_exact, polymat
-from .errors import InputError, NotCoprimeError
+from .errors import AnalysisError, InputError, NotCoprimeError
 from .exactalg import (
     QQ,
     GaussRat,
@@ -307,8 +307,10 @@ def smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     and reduce each diagonal entry back against the denominator. The
     decomposition, E and F included, is kept on M under "smith_mcmillan";
     the queries that read only its diagonal (the indices, least order and
-    McMillan degree) read it from there when it is kept, and otherwise
-    build only the factors (see `_factors`)."""
+    McMillan degree) read it from there when it is kept. Otherwise the
+    indices build only the factors (see `_factors`), and least order and
+    McMillan degree read the poles from the right coprime MFD's Hermite
+    form (see `_pole_polynomial`)."""
     return M._keep("smith_mcmillan", _smith_mcmillan)
 
 
@@ -429,15 +431,34 @@ class Mfd:
                    coprime=self.coprime)
 
 
+def _modular_hermite(M: RatMat) -> tuple:
+    """(d, G): d the least common denominator of M and G the Hermite form
+    of the row lattice of [d M; d I] (`polymat._hermite_mod`), a gcrd of
+    d M and d I. Kept on M under "hermite_mod" for its right coprime MFD
+    and its poles."""
+    d = M.denominator_lcm()
+    return d, polymat._hermite_mod(_cleared(M, d), d)
+
+
 def right_coprime_mfd(M: RatMat) -> Mfd:
     """Right coprime MFD by removing a gcrd (Kailath 1980, §6.3): with d
-    the least common denominator and G = gcrd(d M, d I), [d M; d I] =
-    [N; D] @ G, so M = N @ D^{-1}; `coprime` is the Bezout check X @ N +
-    Y @ D = I, from the certificate X @ d M + Y @ d I = G of the gcrd."""
-    d = M.denominator_lcm()
-    g = polymat.gcrd(_cleared(M, d), PolyMat.diag([d] * M.cols))
-    coprime = g.X @ g.Q1 + g.Y @ g.Q2 == PolyMat.identity(M.cols)
-    return Mfd(N=g.Q1, D=g.Q2, side="right", coprime=coprime)
+    the least common denominator and G the Hermite form of the row lattice
+    L of [d M; d I] (kept on M), [d M; d I] = [N; D] @ G, so M = N @ D^{-1}
+    and D = d G^{-1}. `coprime` holds by construction. G comes from the
+    generators of L by steps within L, so span(G) ⊆ L and G = X @ [d M;
+    d I] for a polynomial X; the exact division along the rows of G
+    succeeds, so L ⊆ span(G). Then G = X @ [N; D] @ G, so X @ [N; D] = I.
+    A remainder in the division would break the second fact, and raises
+    AnalysisError."""
+    d, g = M._keep("hermite_mod", _modular_hermite)
+    q = polymat._right_divide(
+        _cleared(M, d).vstack(PolyMat.diag([d] * M.cols)), g)
+    if q is None:
+        raise AnalysisError("the Hermite form modulo d does not divide "
+                            "[d M; d I]")
+    return Mfd(N=q.submatrix(slice(0, M.rows), slice(None)),
+               D=q.submatrix(slice(M.rows, None), slice(None)),
+               side="right", coprime=True)
 
 
 def left_coprime_mfd(M: RatMat) -> Mfd:
@@ -466,40 +487,40 @@ def mfd_unit_relator(mfd1: Mfd, mfd2: Mfd) -> PolyMat:
     return u
 
 
+def _pole_polynomial(M: RatMat) -> Poly:
+    """ψ_total = ψ₁ ⋯ ψ_r, the monic least common denominator of all
+    minors of M: the product of the pole factors when they are kept, and
+    otherwise det D = dⁿ / det G for the kept (d, G) of the right coprime
+    MFD, the product of the d / Gⱼⱼ."""
+    if {"smith_mcmillan", "smith_mcmillan_factors"} & (M._kept or {}).keys():
+        return _product(_factors(M)[1])
+    d, g = M._keep("hermite_mod", _modular_hermite)
+    return _product(d if g[j, j] == _P_ONE else d.exact_div(g[j, j])
+                    for j in range(M.cols))
+
+
 def least_order(M: RatMat) -> Divisor:
     """ν(M): the pole divisor ∂_D of any coprime MFD, read off as the
-    divisor of ψ_A."""
-    return Divisor.of_zeros(_product(_factors(M)[1]))
+    divisor of ψ_total."""
+    return Divisor.of_zeros(_pole_polynomial(M))
 
 
 def least_order_total(M: RatMat) -> int:
-    return sum(f.degree for f in _factors(M)[1])
-
-
-def _substitute_reciprocal(P: RatMat) -> RatMat:
-    """Entrywise substitution z -> 1/z."""
-    out = []
-    for row in P.entries:
-        new = []
-        for e in row:
-            d = max(e.num.degree, e.den.degree, 0)
-            new.append(RatFn(e.num.reverse(d), e.den.reverse(d)))
-        out.append(new)
-    return RatMat(out, P.cols)
+    return _pole_polynomial(M).degree
 
 
 def mcmillan_degree(M: RatMat) -> int:
-    """δ(M) = ν̂(M_sp) + ν̂₀(P(1/z)) with M = P + M_sp the entrywise split
-    into polynomial part and strictly proper part."""
-    p_grid, sp_grid = [], []
-    for row in M.entries:
-        p_row, sp_row = [], []
-        for e in row:
-            q, rem = e.polynomial_part()
-            p_row.append(RatFn(q))
-            sp_row.append(rem)
-        p_grid.append(p_row)
-        sp_grid.append(sp_row)
-    finite = least_order_total(RatMat(sp_grid, M.cols))
-    at_infinity = least_order(_substitute_reciprocal(RatMat(p_grid, M.cols)))
-    return finite + at_infinity.zeros.multiplicity_at(0)
+    """δ(M) = ν̂(M) + ν̂₀(P(1/z)) with M = P + M_sp the entrywise split into
+    polynomial part and strictly proper part. M and M_sp share their
+    finite poles: for a right coprime M_sp = N @ D^{-1}, [N + P @ D; D] =
+    [[I, P], [0, I]] @ [N; D] is a coprime MFD of M with the same D. With
+    k the largest degree in P, z^k is a common denominator of P(1/z) and
+    z^k P(1/z) reverses each entry at degree k; every diagonal entry of
+    the Hermite form G modulo z^k is a power of z, so the pole order at 0
+    of det(z^k I) / det G is n k − Σ deg Gⱼⱼ."""
+    p = [[e.num // e.den for e in row] for row in M.entries]
+    k = max([0] + [q.degree for row in p for q in row])
+    g = polymat._hermite_mod(PolyMat._of(
+        [[q.reverse(k) for q in row] for row in p], M.cols), Poly.z() ** k)
+    at_infinity = sum(k - g[j, j].degree for j in range(M.cols))
+    return least_order_total(M) + at_infinity

@@ -95,6 +95,22 @@ def rand_ratmat(rng: random.Random, rows: int, cols: int) -> RatMat:
                    for _ in range(rows)])
 
 
+def found_ratmat(n: int, seed: int) -> RatMat:
+    """An n x n matrix whose coprime MFDs and least order grew without
+    bound on the routes through an echelon carrying U or through Smith
+    passes: each entry is RatFn(p(k1), p(k2)), drawn row by row from
+    random.Random(seed) as k1 in 0..2 and its numerator, then k2 in 1..2
+    and its denominator, with p(k) monic of degree k and coefficients in
+    -5..5."""
+    rng = random.Random(seed)
+
+    def p(k):
+        return Poly([rng.randint(-5, 5) for _ in range(k)] + [1])
+
+    return RatMat([[RatFn(p(rng.randint(0, 2)), p(rng.randint(1, 2)))
+                    for _ in range(n)] for _ in range(n)])
+
+
 def minor_gcd(A: PolyMat, k: int) -> Poly:
     """Monic gcd of all k x k minors; the determinantal-divisor oracle.
 

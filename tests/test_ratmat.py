@@ -4,9 +4,11 @@ import time
 import pytest
 
 from genutil import (
+    found_ratmat,
     fracs,
     fresh,
     local_exponent_oracle,
+    minor_gcd,
     rand_qpoly,
     rand_ratmat,
     rand_unimodular,
@@ -330,13 +332,7 @@ class TestMfd:
     def test_mfd_scale(self):
         # the Smith-McMillan route took minutes on this 3 x 3 matrix, its
         # D reaching degree 25 with 430-bit coefficients
-        rng = random.Random(2)
-
-        def p(k):
-            return Poly([rng.randint(-5, 5) for _ in range(k)] + [1])
-
-        m = RatMat([[RatFn(p(rng.randint(0, 2)), p(rng.randint(1, 2)))
-                     for _ in range(3)] for _ in range(3)])
+        m = found_ratmat(3, 2)
         start = time.perf_counter()
         mfd = right_coprime_mfd(m)
         assert time.perf_counter() - start < 5
@@ -346,13 +342,36 @@ class TestMfd:
         assert mfd.coprime
         assert RatMat.from_polymat(mfd.N) == m @ RatMat.from_polymat(mfd.D)
 
+    @pytest.mark.parametrize("n, seed", [(5, 1), (6, 1), (6, 2)])
+    def test_found_scale(self, n, seed):
+        # on these, the right MFD took 7 s at 5 x 5 through an echelon
+        # carrying U, and least order 2.6 s at 5 x 5 and 27-73 s at 6 x 6
+        # through Smith passes; the Hermite form modulo d takes about
+        # 0.03 s
+        m = found_ratmat(n, seed)
+        timed = {}
+        for name, query in (("right", right_coprime_mfd),
+                            ("left", left_coprime_mfd),
+                            ("least_order", least_order)):
+            start = time.perf_counter()
+            timed[name] = query(fresh(m))
+            assert time.perf_counter() - start < 2, name
+        right, left, nu = timed["right"], timed["left"], timed["least_order"]
+        assert RatMat.from_polymat(right.N) == m @ RatMat.from_polymat(
+            right.D)
+        assert RatMat.from_polymat(left.N) == RatMat.from_polymat(
+            left.D) @ m
+        for mfd in (right, left):
+            assert mfd.coprime
+            assert polymat.det(mfd.D).monic() == nu.zeros
+
     def test_mfd_builds_no_smith_form(self, monkeypatch):
         m = rand_ratmat(random.Random(34), 3, 2)
-        smiths = record_calls(monkeypatch, polymat, "_smith")
-        inverses = record_calls(monkeypatch, polymat, "inverse_unimodular")
+        built = [record_calls(monkeypatch, polymat, f) for f in (
+            "_smith", "_echelon", "inverse_unimodular")]
         right_coprime_mfd(m)
         left_coprime_mfd(m)
-        assert smiths == [] and inverses == []
+        assert built == [[], [], []]
 
     def test_unit_relator_needs_coprime(self):
         mfd = Mfd(N=PolyMat([[Z]]), D=PolyMat([[Z]]), side="right",
@@ -414,22 +433,28 @@ class TestKeptForms:
             assert sum(x is m for x in seen) == 1
             monkeypatch.undo()
 
-    def test_second_mfd_reduces_only_its_stack(self, monkeypatch):
+    def test_mfd_builds_no_echelon(self, monkeypatch):
+        """An MFD builds no echelon and no Smith form: one Hermite form
+        modulo d, of d M, kept on M for a second MFD and the poles."""
         m = rand_ratmat(random.Random(28), 2, 2)
+        d = m.denominator_lcm()
+        built = [record_calls(monkeypatch, polymat, f) for f in (
+            "_echelon", "_smith", "_hermite_mod")]
         first = right_coprime_mfd(m)
-        echelons = record_calls(monkeypatch, polymat, "_echelon")
-        smiths = record_calls(monkeypatch, polymat, "_smith")
-        # one gcrd, of the fresh stack [d M; d I], and no Smith form
         assert right_coprime_mfd(m) == first
-        d_eye = PolyMat.diag([m.denominator_lcm()] * 2)
-        stack = (RatMat.from_polymat(d_eye) @ m).to_polymat().vstack(d_eye)
-        assert echelons == [stack] and smiths == []
+        nu, total = least_order(m), least_order_total(m)
+        cleared = (RatMat.from_polymat(PolyMat.diag([d] * 2)) @ m).to_polymat()
+        assert built == [[], [], [cleared]]
+        monkeypatch.undo()
+        assert (nu, total) == (least_order(fresh(m)),
+                               least_order_total(fresh(m)))
+        assert nu == first.order_divisor()
 
     def test_equal_matrices_build_separately(self, monkeypatch):
         m = rand_ratmat(random.Random(29), 2, 2)
         twin = fresh(m)
         assert twin == m and hash(twin) == hash(m)
-        seen = record_calls(monkeypatch, ratmat, "_smith_mcmillan_factors")
+        seen = record_calls(monkeypatch, ratmat, "_modular_hermite")
         for x in (m, twin, m, twin):
             least_order(x)
         assert [id(x) for x in seen] == [id(m), id(twin)]
@@ -475,14 +500,38 @@ class TestKeptForms:
             smith_mcmillan(m)
             for name, query in self.FACTOR_QUERIES.items():
                 if name == "mcmillan_degree":
-                    continue  # it reads the forms of its two parts, not M's
+                    continue  # its part at infinity is another matrix
                 built = [record_calls(monkeypatch, mod, f) for mod, f in (
                     (polymat, "_echelon"), (polymat, "_smith"),
                     (polymat, "_invariant_factors"),
+                    (polymat, "_hermite_mod"),
                     (ratmat, "_smith_mcmillan_factors"))]
                 query(m)
-                assert built == [[], [], [], []], name
+                assert built == [[], [], [], [], []], name
                 monkeypatch.undo()
+
+    def test_mcmillan_degree_reads_m(self, monkeypatch):
+        """The finite part of the McMillan degree is read from M's own
+        kept Hermite form, so the least-order command builds that form for
+        M alone; it equals the Smith-McMillan pole degree of the strictly
+        proper part, and the part at infinity that of P(1/z) at 0."""
+        for m in self.cases():
+            sp = RatMat([[e.polynomial_part()[1] for e in row]
+                         for row in m.entries], m.cols)
+            at_zero = RatMat([[RatFn(q.reverse(max(q.degree, 0)),
+                                     Z ** max(q.degree, 0))
+                               for q in (e.polynomial_part()[0]
+                                         for e in row)]
+                              for row in m.entries], m.cols)
+            expect = sum(f.degree for f in smith_mcmillan(sp).pole_factors)
+            expect += sum(f.multiplicity_at(0)
+                          for f in smith_mcmillan(at_zero).pole_factors)
+            seen = record_calls(monkeypatch, ratmat, "_modular_hermite")
+            m = fresh(m)
+            least_order(m), least_order_total(m)
+            assert mcmillan_degree(m) == expect
+            assert seen == [m] and seen[0] is m
+            monkeypatch.undo()
 
     def test_factors_equal_full_decomposition(self):
         for m in self.cases():
@@ -577,3 +626,90 @@ class TestNonRealPoints:
                 deltas.append(min(orders))
             want = tuple(b - a for a, b in zip(deltas, deltas[1:]))
             assert pole_zero_index(m, w).values == want
+
+
+def _sym_matrix(m, z):
+    """m, a RatMat or a PolyMat, as a sympy Matrix of rational functions
+    of z."""
+    import sympy
+
+    return sympy.Matrix(m.rows, m.cols, [
+        _sym(e.num, z) / _sym(e.den, z)
+        for row in m.entries for e in map(RatFn.coerce, row)])
+
+
+def _pole_oracle(mat, x):
+    """The monic least common denominator of all minors of the sympy
+    matrix mat, rational in x, as a sympy Poly. A k x k minor of mat is
+    that of the polynomial d mat over d^k, d the least common denominator
+    of the entries. So with g_k the gcd of the k x k minors of d mat
+    (determinants over QQ[x]), the k x k minors of mat have the least
+    common denominator d^k / gcd(g_k, d^k)."""
+    from itertools import combinations
+
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    d = sympy.Poly(1, x)
+    for e in mat:
+        d = d.lcm(sympy.Poly(sympy.fraction(sympy.cancel(e))[1], x))
+    # over ZZ[x] when every coefficient of d mat is an integer
+    cleared = DomainMatrix.from_Matrix(
+        mat.applyfunc(lambda e: sympy.cancel(e * d.as_expr())))
+    ring = cleared.domain
+    d = ring.from_sympy(d.as_expr())
+    psi = ring.one
+    for k in range(1, min(mat.shape) + 1):
+        g = ring.zero
+        for rows in combinations(range(mat.rows), k):
+            for cols in combinations(range(mat.cols), k):
+                g = ring.gcd(g, cleared.extract(list(rows), list(cols)).det())
+        dk = d ** k
+        psi = ring.lcm(psi, ring.exquo(dk, ring.gcd(g, dk)))
+    return sympy.Poly(ring.to_sympy(psi), x, domain="QQ").monic()
+
+
+def _oracle_cases():
+    """Random dense inputs up to 4 x 4, two of them from the FOUND
+    generator, rank-deficient products through a thinner middle factor,
+    a zero matrix, and matrices with no rows or no columns."""
+    rng = random.Random(35)
+    out = [rand_ratmat(rng, rows, cols) for rows, cols in (
+        (1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (3, 3), (4, 4))]
+    out += [found_ratmat(3, 3), found_ratmat(4, 1)]
+    for rows, inner, cols in ((2, 1, 2), (3, 1, 3), (4, 2, 3)):
+        out.append(rand_ratmat(rng, rows, inner)
+                   @ rand_ratmat(rng, inner, cols))
+    out += [RatMat.zeros(2, 3), RatMat([], 2), RatMat([[], []], 0)]
+    return out
+
+
+class TestPoleOracle:
+    """MFDs and least order against sympy, with no use of polymat."""
+
+    @pytest.mark.parametrize("m", _oracle_cases(),
+                             ids=lambda m: f"{m.rows}x{m.cols}")
+    def test_mfds_and_least_order(self, m):
+        sympy = pytest.importorskip("sympy")
+        z, w = sympy.symbols("z w")
+        mat = _sym_matrix(m, z)
+        psi = _pole_oracle(mat, z)
+        for mfd in (right_coprime_mfd(fresh(m)), left_coprime_mfd(fresh(m))):
+            n_sym, d_sym = _sym_matrix(mfd.N, z), _sym_matrix(mfd.D, z)
+            if mfd.side == "right":
+                product, k, stack = mat * d_sym, m.cols, mfd.N.vstack(mfd.D)
+            else:
+                product, k, stack = d_sym * mat, m.rows, mfd.N.hstack(mfd.D)
+            assert (n_sym - product).applyfunc(sympy.cancel).is_zero_matrix
+            assert minor_gcd(stack, k) == ONE
+            det = sympy.cancel(d_sym.det())
+            assert sympy.Poly(det, z, domain="QQ").monic() == psi
+        nu = least_order(fresh(m)).zeros
+        assert sympy.Poly(_sym(nu, z), z, domain="QQ") == psi
+        assert least_order_total(fresh(m)) == psi.degree()
+        at_infinity = _pole_oracle(mat.subs(z, 1 / w), w)
+        multiplicity = 0
+        while at_infinity.eval(0) == 0:
+            at_infinity = at_infinity.exquo(sympy.Poly(w, w))
+            multiplicity += 1
+        assert mcmillan_degree(fresh(m)) == psi.degree() + multiplicity
