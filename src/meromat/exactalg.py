@@ -649,11 +649,6 @@ class RatFn:
         _set(out, "den", self.den * h if out.num else _P_ONE)
         return out
 
-    def polynomial_part(self) -> tuple[Poly, "RatFn"]:
-        """Split f = p + f_sp with p polynomial and f_sp strictly proper."""
-        q, r = divmod(self.num, self.den)
-        return q, RatFn(r, self.den)
-
     def __str__(self):
         """num or (num)/(den), which the entry grammar reads back."""
         return (str(self.num) if self.is_polynomial

@@ -270,25 +270,20 @@ def smith_form(A: PolyMat) -> SmithDecomposition:
     return A._keep("smith", _smith)
 
 
-def _cut(a, t, i, k, q):
-    """Row i of a -= q * row k, carried nowhere (t is not read)."""
-    a[i] = [x._plus(q, -1, y) for x, y in zip(a[i], a[k])]
-
-
 def _sub(a, t, i, k, q):
     """Row i of a -= q * row k; row k of t += q * row i. With a = S and t
     = E^T that is the row operation on S and its inverse on E; with a =
     S^T and t = F, the column operation and its inverse on F."""
-    _cut(a, t, i, k, q)
+    a[i] = [x._plus(q, -1, y) for x, y in zip(a[i], a[k])]
     t[k] = [x._plus(q, 1, y) for x, y in zip(t[k], t[i])]
 
 
-def _triangularise(a, t, step):
+def _triangularise(a, t):
     """Row echelon form of a in place, without reduction above the pivots,
-    on Poly entries: a pass of the Smith form. `step(a, t, i, k, q)` takes
-    q times row k of a from row i and carries that over to t as its
-    inverse (`_sub`) or not at all (`_cut`); swaps move rows of a and t
-    together. `_echelon` takes the same steps on integer rows."""
+    on Poly entries: a pass of the Smith form. Each step takes q times row
+    k of a from row i and carries its inverse over to t (`_sub`); swaps
+    move rows of a and t together. `_echelon` takes the same steps on
+    integer rows."""
     k = 0
     for j in range(len(a[0]) if a else 0):
         rest = [i for i in range(k, len(a)) if not a[i][j].is_zero]
@@ -299,7 +294,7 @@ def _triangularise(a, t, step):
                 t[k], t[piv] = t[piv], t[k]
             for i in range(k + 1, len(a)):
                 if not a[i][j].is_zero:
-                    step(a, t, i, k, a[i][j] // a[k][j])
+                    _sub(a, t, i, k, a[i][j] // a[k][j])
             rest = [i for i in range(k + 1, len(a)) if not a[i][j].is_zero]
         if not a[k][j].is_zero:
             k += 1
@@ -312,7 +307,7 @@ def _eye(n):
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
-def _diagonalise(s, et, f, step):
+def _diagonalise(s, et, f):
     """Alternate row passes (carried onto the rows of et = E^T) and column
     passes (onto the rows of f = F) on the grid s until it is diagonal,
     and add row i+1 to row i wherever d_i does not divide d_i+1. Returns
@@ -324,10 +319,10 @@ def _diagonalise(s, et, f, step):
                    for j, x in enumerate(row) if i != j)
 
     while True:
-        _triangularise(s, et, step)
+        _triangularise(s, et)
         if not diagonal():
             st = [[s[i][j] for i in range(m)] for j in range(n)]
-            _triangularise(st, f, step)
+            _triangularise(st, f)
             s = [[st[j][i] for j in range(n)] for i in range(m)]
             if not diagonal():
                 continue
@@ -336,7 +331,7 @@ def _diagonalise(s, et, f, step):
                     if not d[i].divides(d[i + 1])), None)
         if bad is None:
             return s, d
-        step(s, et, bad, bad + 1, _MINUS_ONE)
+        _sub(s, et, bad, bad + 1, _MINUS_ONE)
 
 
 def _smith(A: PolyMat) -> SmithDecomposition:
@@ -356,7 +351,7 @@ def _smith(A: PolyMat) -> SmithDecomposition:
     else:
         s, et = [list(row) for row in A.entries], _eye(m)
     f = _eye(n)
-    s, d = _diagonalise(s, et, f, _sub)
+    s, d = _diagonalise(s, et, f)
     for k, p in enumerate(d):
         cn, cd = p._lead_inverse()
         s[k] = [x._scaled(cn, cd) for x in s[k]]
@@ -367,14 +362,6 @@ def _smith(A: PolyMat) -> SmithDecomposition:
         invariant_factors=tuple(s[k][k] for k in range(len(d))),
         nrank=len(d),
     )
-
-
-def _invariant_factors(A: PolyMat) -> tuple:
-    """The monic invariant factors of A by the passes of `_smith` from A
-    itself, carrying neither E nor F and building no echelon."""
-    s = [list(row) for row in A.entries]
-    _, d = _diagonalise(s, [None] * A.rows, [None] * A.cols, _cut)
-    return tuple(p.monic() for p in d)
 
 
 def hermite_form(D: PolyMat) -> tuple[PolyMat, PolyMat]:

@@ -8,6 +8,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from . import linalg_exact, polymat
 from .errors import AnalysisError, InputError, NotCoprimeError
@@ -305,12 +307,12 @@ def _product(polys) -> Poly:
 def smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     """Clear the least common denominator, take the polynomial Smith form,
     and reduce each diagonal entry back against the denominator. The
-    decomposition, E and F included, is kept on M under "smith_mcmillan";
-    the queries that read only its diagonal (the indices, least order and
-    McMillan degree) read it from there when it is kept. Otherwise the
-    indices build only the factors (see `_factors`), and least order and
-    McMillan degree read the poles from the right coprime MFD's Hermite
-    form (see `_pole_polynomial`)."""
+    decomposition, E and F included, is kept on M under "smith_mcmillan",
+    and least order and McMillan degree read their poles from it when it
+    is kept; otherwise they read them from the right coprime MFD's Hermite
+    form (see `_pole_polynomial`). The index queries never read it: they
+    take the local exponents at their point from Taylor data
+    (`_local_exponents`)."""
     return M._keep("smith_mcmillan", _smith_mcmillan)
 
 
@@ -323,41 +325,16 @@ def _cleared(M: RatMat, d: Poly) -> PolyMat:
                         for row in M.entries], M.cols)
 
 
-def _reduced(invariant_factors, d: Poly) -> tuple:
-    """(zero factors, pole factors): each s / d in lowest terms."""
-    phis, psis = [], []
-    for s in invariant_factors:
-        f = RatFn(s, d)
-        phis.append(f.num.monic())
-        psis.append(f.den)
-    return tuple(phis), tuple(psis)
-
-
 def _smith_mcmillan(M: RatMat) -> SmithMcMillanDecomposition:
     d = M.denominator_lcm()
     dec = polymat.smith_form(_cleared(M, d))
-    phis, psis = _reduced(dec.invariant_factors, d)
+    reduced = [RatFn(s, d) for s in dec.invariant_factors]
     return SmithMcMillanDecomposition(
-        E=dec.E, F=dec.F, zero_factors=phis, pole_factors=psis,
+        E=dec.E, F=dec.F,
+        zero_factors=tuple(f.num.monic() for f in reduced),
+        pole_factors=tuple(f.den for f in reduced),
         nrank=dec.nrank, shape=(M.rows, M.cols),
     )
-
-
-def _smith_mcmillan_factors(M: RatMat) -> tuple:
-    """(zero factors, pole factors) from invariant factors that carry no
-    E or F and build no echelon."""
-    d = M.denominator_lcm()
-    return _reduced(polymat._invariant_factors(_cleared(M, d)), d)
-
-
-def _factors(M: RatMat) -> tuple:
-    """(zero factors, pole factors) of M: read from the kept Smith-McMillan
-    decomposition if there is one, else from the factors alone, kept under
-    "smith_mcmillan_factors"."""
-    dec = (M._kept or {}).get("smith_mcmillan")
-    if dec is not None:
-        return dec.zero_factors, dec.pole_factors
-    return M._keep("smith_mcmillan_factors", _smith_mcmillan_factors)
 
 
 def _exact_point(point) -> GaussRat:
@@ -376,26 +353,200 @@ def _exact_point(point) -> GaussRat:
 
 
 def zero_index(M: RatMat, point) -> IndexTuple:
-    """(ν₁,…,ν_r): multiplicities of the point in the zero factors φⱼ."""
+    """(ν₁,…,ν_r): multiplicities of the point in the zero factors φⱼ,
+    νⱼ = max(τⱼ, 0) for the local exponents τ (`_local_exponents`)."""
     lam = _exact_point(point)
-    return IndexTuple(lam, tuple(f.multiplicity_at(lam)
-                                 for f in _factors(M)[0]))
+    return IndexTuple(lam, tuple(max(t, 0)
+                                 for t in _local_exponents(M, lam)))
 
 
 def pole_index(M: RatMat, point) -> IndexTuple:
     """(κ₁,…,κ_r): multiplicities of the point in the pole factors ψⱼ,
-    listed nonincreasing."""
+    κⱼ = max(−τⱼ, 0), nonincreasing."""
     lam = _exact_point(point)
-    return IndexTuple(lam, tuple(f.multiplicity_at(lam)
-                                 for f in _factors(M)[1]))
+    return IndexTuple(lam, tuple(max(-t, 0)
+                                 for t in _local_exponents(M, lam)))
 
 
 def pole_zero_index(M: RatMat, point) -> IndexTuple:
     """τⱼ = νⱼ − κⱼ: the nondecreasing local exponent tuple."""
     lam = _exact_point(point)
-    vals = tuple(p.multiplicity_at(lam) - q.multiplicity_at(lam)
-                 for p, q in zip(*_factors(M)))
-    return IndexTuple(lam, vals)
+    return IndexTuple(lam, _local_exponents(M, lam))
+
+
+def _local_exponents(M: RatMat, lam: GaussRat) -> tuple:
+    """The local exponents τ₁ ≤ … ≤ τ_r of M at the exact point lam, r the
+    normal rank: the exponents of the local Smith-McMillan form at lam
+    (Kailath, Linear Systems, 1980, §6.5), from Taylor data alone. With
+    lam = (a + c i)/b, b the least common denominator of its two parts,
+    each numerator and denominator p becomes the Gaussian-integer
+    coefficients of b^D p((a + c i + u)/b) in u = b (z − lam), one D for
+    the whole matrix, so every entry keeps its value. Each entry loses its
+    power u^v, each row is multiplied by the unit parts of its entries'
+    denominators and the whole matrix by u^s, s = max(0, −min v): a
+    polynomial matrix C whose exponents are those of M plus s. For a
+    non-real lam, the integer matrix [[R, −I], [I, R]] of the real and
+    imaginary parts of C is similar over C to C ⊕ C̄, so it has every
+    exponent twice. Its exponents are the orders of the pivots of a
+    fraction-free elimination over Z[u]/(u^K) (`_pivot_orders`), K doubled
+    from 4 until min(rows, cols) pivots are found or K passes the sum over
+    the rows of their largest degree in C: no nonzero minor of C has a
+    higher order than that, so the pivots found are then the normal
+    rank."""
+    b = lcm(lam.re.denominator, lam.im.denominator)
+    a = int(lam.re.numerator) * (b // lam.re.denominator)
+    c = int(lam.im.numerator) * (b // lam.im.denominator)
+    cells = [e for row in M.entries for e in row if e.num.nums]
+    if not cells:
+        return ()
+    deg = max(max(len(e.num.nums), len(e.den.nums)) for e in cells) - 1
+    bpow = [b ** (deg - k) for k in range(deg + 1)]
+    shifted = {}
+
+    def unit(p, scale):
+        """(order, unit part) of the shift of scale * p, each shifted once."""
+        if (p, scale) not in shifted:
+            shifted[p, scale] = _unit_part(*_shift(p, scale, a, c, bpow))
+        return shifted[p, scale]
+
+    # an entry num / den is (num.nums * den.den) / (den.nums * num.den)
+    grid = [[(unit(e.num.nums, e.den.den), unit(e.den.nums, e.num.den))
+             if e.num.nums else None for e in row] for row in M.entries]
+    s = max(0, max(vd - vn for row in grid
+                   for (vn, _), (vd, _) in filter(None, row)))
+    re, im = [], []
+    for row in grid:
+        dens = list({d: None for _, (_, d) in filter(None, row)})
+        re.append([])
+        im.append([])
+        for cell in row:
+            if cell is None:
+                re[-1].append([])
+                im[-1].append([])
+                continue
+            (vn, n), (vd, d) = cell
+            for other in dens:
+                if other != d:
+                    n = _gauss_mul(n, other)
+            pad = [0] * (vn - vd + s)
+            re[-1].append(pad + list(n[0]))
+            if c:
+                im[-1].append(pad + list(n[1]))
+    if c:
+        rows = [x + [[-t for t in y] for y in z] for x, z in zip(re, im)]
+        rows += [z + x for x, z in zip(re, im)]
+    else:
+        rows = re
+    bound = sum(max(map(len, row)) - 1 for row in rows)
+    k, full = 4, min(len(rows), len(rows[0]))
+    while True:
+        orders = _pivot_orders(rows, k)
+        if len(orders) == full or k > bound:
+            break
+        k *= 2
+    return tuple(v - s for v in orders[::2 if c else 1])
+
+
+def _shift(p, scale, a, c, bpow):
+    """(re, im): the coefficients in u of b^D q((a + c i + u)/b) for q =
+    scale * p, p integer coefficients lowest degree first and bpow[k] =
+    b^(D − k), by the Taylor shift of Σ q_k b^(D−k) x^k to x = a + c i + u
+    in place; im is None for c = 0."""
+    re = [x * y * scale for x, y in zip(p, bpow)]
+    n = len(re) - 1
+    if not c:
+        for i in range(n if a else 0):
+            for j in range(n - 1, i - 1, -1):
+                re[j] += a * re[j + 1]
+        return re, None
+    im = [0] * (n + 1)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            re[j], im[j] = (re[j] + a * re[j + 1] - c * im[j + 1],
+                            im[j] + a * im[j + 1] + c * re[j + 1])
+    return re, im
+
+
+def _unit_part(re, im):
+    """(v, (re', im')) with re + i im = u^v (re' + i im') and re' + i im'
+    nonzero at 0, for a nonzero polynomial."""
+    v = 0
+    while not re[v] and (im is None or not im[v]):
+        v += 1
+    return v, (tuple(re[v:]), None if im is None else tuple(im[v:]))
+
+
+def _gauss_mul(x, y):
+    """The product of two Gaussian-integer polynomials held as (re, im)."""
+    (xr, xi), (yr, yi) = x, y
+    if xi is None:
+        return _times(xr, yr), None
+    return ([p - q for p, q in zip(_times(xr, yr), _times(xi, yi))],
+            [p + q for p, q in zip(_times(xr, yi), _times(xi, yr))])
+
+
+def _times(x, y, k=None):
+    """The coefficients of x * y below u^k (all of them for k None), for
+    nonempty x and y; the result may end in zeros."""
+    n = len(x) + len(y) - 1
+    k = n if k is None else min(n, k)
+    out = [0] * k
+    for i, p in enumerate(x[:k]):
+        if p:
+            for j, q in enumerate(y[:k - i], i):
+                out[j] += p * q
+    return out
+
+
+def _order(x):
+    """The order in u of a coefficient list; None for zero."""
+    for v, p in enumerate(x):
+        if p:
+            return v
+    return None
+
+
+def _pivot_orders(grid, k):
+    """The orders of the pivots of a fraction-free elimination of the
+    integer polynomial matrix `grid` (rows of coefficient lists, lowest
+    degree first) over Z[u]/(u^k), nondecreasing. The pivot is an entry
+    of least order v; every other row i becomes p̂·rowᵢ − (e/u^v)·row_p,
+    with p̂ the pivot's unit part and e row i's entry in the pivot column,
+    a step exact modulo u^k because every entry has order at least v;
+    then the pivot's row and column go, and each changed row is divided
+    by its integer content. Each step multiplies rows by units of Q[[u]],
+    so the orders are the local Smith exponents of grid below k."""
+    a = [[x[:k] for x in row] for row in grid]
+    orders = []
+    while a and a[0]:
+        best = None
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                v = _order(x)
+                if v is not None and (best is None or v < best[0]):
+                    best = v, i, j
+        if best is None:
+            break
+        v, p, q = best
+        prow = a.pop(p)
+        piv = prow[q][v:]
+        prow = prow[:q] + prow[q + 1:]
+        for i, row in enumerate(a):
+            e = row.pop(q)
+            if not any(e):
+                continue
+            f = e[v:]
+            row = [_times(piv, x, k) if x else [] for x in row]
+            for x, y in zip(row, prow):
+                if y:
+                    if len(x) < k:
+                        x += [0] * (k - len(x))
+                    for m, t in enumerate(_times(f, y, k)):
+                        x[m] -= t
+            g = gcd(*chain.from_iterable(row))
+            a[i] = [[t // g for t in x] if g > 1 else x for x in row]
+        orders.append(v)
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +640,12 @@ def mfd_unit_relator(mfd1: Mfd, mfd2: Mfd) -> PolyMat:
 
 def _pole_polynomial(M: RatMat) -> Poly:
     """ψ_total = ψ₁ ⋯ ψ_r, the monic least common denominator of all
-    minors of M: the product of the pole factors when they are kept, and
-    otherwise det D = dⁿ / det G for the kept (d, G) of the right coprime
-    MFD, the product of the d / Gⱼⱼ."""
-    if {"smith_mcmillan", "smith_mcmillan_factors"} & (M._kept or {}).keys():
-        return _product(_factors(M)[1])
+    minors of M: the product of the pole factors of a kept Smith-McMillan
+    form, and otherwise det D = dⁿ / det G for the kept (d, G) of the
+    right coprime MFD, the product of the d / Gⱼⱼ."""
+    dec = (M._kept or {}).get("smith_mcmillan")
+    if dec is not None:
+        return dec.psi_total
     d, g = M._keep("hermite_mod", _modular_hermite)
     return _product(d if g[j, j] == _P_ONE else d.exact_div(g[j, j])
                     for j in range(M.cols))

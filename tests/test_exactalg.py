@@ -196,14 +196,6 @@ class TestRatFn:
             zero_derivatives += got.is_zero
         assert zero_derivatives > 100
 
-    def test_polynomial_part(self):
-        z = Poly.z()
-        f = RatFn(z * z + Poly.one(), z)
-        p, sp = f.polynomial_part()
-        assert p == z
-        assert sp == RatFn(Poly.one(), z)
-        assert RatFn.coerce(p) + sp == f
-
     def test_eq_hash_contract(self):
         # equal values hash alike across RatFn, Poly and the scalars
         assert len({RatFn(1), 1, QQ(1), GaussRat(1)}) == 1
@@ -538,7 +530,7 @@ class TestKernelGuard:
                     p.scale(third), p.scale(GaussRat(third)), p.monic(),
                     p.derivative(), p.reverse(p.degree + 1), p.coeffs,
                     f, g, f + g, f - g, f * g, f / g, -f, f + 1, 2 * f,
-                    f.derivative(), f.polynomial_part(), hash(f), hash(p))
+                    f.derivative(), hash(f), hash(p))
 
         want = [run(p, q) for p, q in cases]
 
