@@ -89,13 +89,17 @@ class GaussRat:
 _G_ZERO = GaussRat(0)
 
 
-def _conv(a, b):
+def _conv(a, b, k=None):
+    """The coefficients of a * b, or with k those below degree k only (the
+    result may then end in zeros), for nonempty a and b."""
+    if k is not None:
+        a, b = a[:k], b[:k]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
-    return out
+    return out if k is None else out[:k]
 
 
 def _lin(a, ma, b, mb):

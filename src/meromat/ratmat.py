@@ -22,6 +22,7 @@ from .exactalg import (
     poly_lcm,
     real_factor,
     squarefree_decomposition,
+    _conv,
 )
 from .polymat import PolyMat
 
@@ -390,9 +391,9 @@ def _local_exponents(M: RatMat, lam: GaussRat) -> tuple:
     exponent twice. Its exponents are the orders of the pivots of a
     fraction-free elimination over Z[u]/(u^K) (`_pivot_orders`), K doubled
     from 4 until min(rows, cols) pivots are found or K passes the sum over
-    the rows of their largest degree in C: no nonzero minor of C has a
-    higher order than that, so the pivots found are then the normal
-    rank."""
+    the nonzero rows of their largest degree in C (a zero row adds 0, not
+    −1): no nonzero minor of C has a higher order than that, so the pivots
+    found are then the normal rank."""
     b = lcm(lam.re.denominator, lam.im.denominator)
     a = int(lam.re.numerator) * (b // lam.re.denominator)
     c = int(lam.im.numerator) * (b // lam.im.denominator)
@@ -437,7 +438,7 @@ def _local_exponents(M: RatMat, lam: GaussRat) -> tuple:
         rows += [z + x for x, z in zip(re, im)]
     else:
         rows = re
-    bound = sum(max(map(len, row)) - 1 for row in rows)
+    bound = sum(max(0, max(map(len, row)) - 1) for row in rows)
     k, full = 4, min(len(rows), len(rows[0]))
     while True:
         orders = _pivot_orders(rows, k)
@@ -480,22 +481,9 @@ def _gauss_mul(x, y):
     """The product of two Gaussian-integer polynomials held as (re, im)."""
     (xr, xi), (yr, yi) = x, y
     if xi is None:
-        return _times(xr, yr), None
-    return ([p - q for p, q in zip(_times(xr, yr), _times(xi, yi))],
-            [p + q for p, q in zip(_times(xr, yi), _times(xi, yr))])
-
-
-def _times(x, y, k=None):
-    """The coefficients of x * y below u^k (all of them for k None), for
-    nonempty x and y; the result may end in zeros."""
-    n = len(x) + len(y) - 1
-    k = n if k is None else min(n, k)
-    out = [0] * k
-    for i, p in enumerate(x[:k]):
-        if p:
-            for j, q in enumerate(y[:k - i], i):
-                out[j] += p * q
-    return out
+        return _conv(xr, yr), None
+    return ([p - q for p, q in zip(_conv(xr, yr), _conv(xi, yi))],
+            [p + q for p, q in zip(_conv(xr, yi), _conv(xi, yr))])
 
 
 def _order(x):
@@ -536,12 +524,12 @@ def _pivot_orders(grid, k):
             if not any(e):
                 continue
             f = e[v:]
-            row = [_times(piv, x, k) if x else [] for x in row]
+            row = [_conv(piv, x, k) if x else [] for x in row]
             for x, y in zip(row, prow):
                 if y:
                     if len(x) < k:
                         x += [0] * (k - len(x))
-                    for m, t in enumerate(_times(f, y, k)):
+                    for m, t in enumerate(_conv(f, y, k)):
                         x[m] -= t
             g = gcd(*chain.from_iterable(row))
             a[i] = [[t // g for t in x] if g > 1 else x for x in row]

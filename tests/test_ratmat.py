@@ -774,8 +774,9 @@ def _index_oracle(mat, z, a, b):
 def _planted_cases(rng, lam):
     """Random matrices from 1 x 1 to 4 x 4 whose numerators and
     denominators carry the real factor of lam to powers 0..2, products of
-    such through a thinner middle factor, a zero matrix, and matrices with
-    no rows or no columns."""
+    such through a thinner middle factor, orders 4 and 5 at lam stacked on
+    zero rows (which add nothing to the degree bound of the elimination),
+    a zero matrix, and matrices with no rows or no columns."""
     q = real_factor(lam)
     dens = (ONE, Z + Poly.const(3), Z - Poly.const(4))
 
@@ -788,6 +789,9 @@ def _planted_cases(rng, lam):
         (1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4))]
     for rows, inner, cols in ((2, 1, 2), (3, 1, 3), (4, 2, 3)):
         out.append(planted(rows, inner) @ planted(inner, cols))
+    out += [RatMat([[q ** 4], [0]]), RatMat([[q ** 4]] + [[0]] * 7),
+            RatMat([[q ** 4 * rand_qpoly(rng, 1, nonzero=True), q ** 5]]
+                   + [[0, 0]] * 2)]
     return out + [RatMat.zeros(2, 3), RatMat([], 2), RatMat([[], []], 0)]
 
 
