@@ -1,6 +1,7 @@
 """Numerics for quasi-polynomial and other evaluable matrices: contour
 counting via the argument principle, root localization, block-Toeplitz
-local indices, regional coprimeness, and TDS system-matrix assembly.
+local indices (exact ones for a rational matrix at an exact point),
+regional coprimeness, and TDS system-matrix assembly.
 
 Exact data lives in exactalg/polymat/ratmat; everything here that touches
 floating point is deliberate and tolerance-guarded.
@@ -13,6 +14,7 @@ import contextlib
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +28,16 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .exactalg import QQ, Poly, _lift
+from .exactalg import QQ, GaussRat, Poly, _lift
 from .linalg_exact import _EXP_LIMIT, DenseMat
 from .polymat import PolyMat
-from .ratmat import IndexTuple, RootHandle
+from .ratmat import (
+    IndexTuple,
+    RatMat,
+    RootHandle,
+    _exact_point,
+    _local_exponents,
+)
 
 __all__ = [
     "QuasiPolyEntry",
@@ -259,21 +267,37 @@ def _max_rank(mats) -> int:
     return int(ranks.max())
 
 
-@functools.cache
-def _sample_points() -> tuple:
-    """16 fixed random points in the square [-3, 3]^2, drawn once."""
-    rng = np.random.default_rng(715225741)
-    return tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                 for _ in range(16))
+# 16 fixed random points in the square [-3, 3]^2: the draws
+# complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) of
+# numpy.random.default_rng(715225741), written out so that no call loads
+# numpy.random
+_SAMPLE_POINTS = (
+    complex(-2.6350738075650346, 0.9849754357646949),
+    complex(-1.267976282915494, -1.1603808340623099),
+    complex(0.6715709753460071, -1.3521195556319414),
+    complex(-1.9817563340124271, -1.0239760176926398),
+    complex(1.0267849134332847, 2.9099977501049272),
+    complex(-1.5339377717542386, -0.2020257578249547),
+    complex(-1.575060841681424, -0.5882271874381639),
+    complex(0.6588340516522853, 2.358568778223579),
+    complex(0.7160566387828045, -0.23897896168145705),
+    complex(-1.726512578629864, -1.8308850457146568),
+    complex(-1.3075420336777037, 1.2672196431690157),
+    complex(-1.9321429494563984, -1.3857303696433894),
+    complex(-2.630016143799001, -2.531166403643433),
+    complex(2.3471783073372547, -0.0157580289495467),
+    complex(0.5950970119373613, -0.4327130619971822),
+    complex(-1.1609676731750418, 1.8147929335704802),
+)
 
 
 def nrank_sampled(M) -> int:
-    """_max_rank at those of _sample_points that can be evaluated; 0 when M
+    """_max_rank at those of _SAMPLE_POINTS that can be evaluated; 0 when M
     has no rows or no columns."""
     ev = as_evaluable(M)
     if 0 in ev.shape:
         return 0
-    zs = _sample_points()
+    zs = _SAMPLE_POINTS
     try:
         mats = ev.eval_many(zs)
     except AnalysisError:  # skip only the points that cannot be evaluated
@@ -679,11 +703,20 @@ def _locate(ev, box: _Box, count: int, tol: float, min_cell: float, out):
 
 
 # ---------------------------------------------------------------------------
-# local indices via block-Toeplitz ranks
+# local indices: exact at exact points, else via block-Toeplitz ranks
 
 
 def local_indices(M, point, kmax: int = 12) -> IndexTuple:
-    """Pole-zero index of M at the point from numeric Taylor data.
+    """Pole-zero index of M at the point, reported at the point as given.
+
+    A `RatMat` or `PolyMat` at an exact point (a `numbers.Rational`, a
+    `GaussRat` or an exact `RootHandle`) is answered exactly, by the local
+    Smith-McMillan form of `ratmat.pole_zero_index`; nothing is evaluated.
+    A float or complex point, or a numeric `RootHandle`, stays numeric even
+    on such a matrix: a decimal often stands for a nearby irrational root
+    (the CLI's `--point` is such a float), and read exactly it would be a
+    regular point. Every other input, among them quasi-polynomial matrices
+    and objects that only evaluate, is read numerically as follows.
 
     Samples M on the circle of radius 0.1 about the point and takes the
     FFT of the samples, which holds the Laurent coefficient c_-k at index
@@ -699,14 +732,25 @@ def local_indices(M, point, kmax: int = 12) -> IndexTuple:
     order at the point can still hide the full rank on the circle, so a
     rank below min(rows, cols) there is taken from nrank_sampled's own
     points instead. The point must be finite; M without rows or columns
-    has no indices. kmax runs from 0 to 64: at 64 the routine takes 512
-    samples and its largest Toeplitz block is 65*rows x 65*cols.
+    has no indices. kmax runs from 0 to 64 on every input but bounds only
+    the numeric reading: at 64 it takes 512 samples and its largest
+    Toeplitz block is 65*rows x 65*cols.
     """
-    lam = complex(point.value if isinstance(point, RootHandle) else point)
-    if not cmath.isfinite(lam):
-        raise InputError(f"local indices need a finite point, not {lam}")
     if not 0 <= kmax <= 64:
         raise InputError(f"kmax must be from 0 to 64, not {kmax}")
+    if isinstance(point, RootHandle):
+        exact, lam = point.is_exact, point.value
+    elif isinstance(point, GaussRat):
+        exact, lam = True, point.to_complex()
+    else:
+        exact, lam = isinstance(point, numbers.Rational), point
+    if exact and isinstance(M, (RatMat, PolyMat)):
+        if isinstance(M, PolyMat):
+            M = RatMat.from_polymat(M)
+        return IndexTuple(point, _local_exponents(M, _exact_point(point)))
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise InputError(f"local indices need a finite point, not {lam}")
     ev = as_evaluable(M)
     rows, cols = ev.shape
     if not (rows and cols):

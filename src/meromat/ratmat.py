@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg_exact, polymat
 from .errors import AnalysisError, InputError, NotCoprimeError
@@ -389,11 +390,10 @@ def _local_exponents(M: RatMat, lam: GaussRat) -> tuple:
     non-real lam, the integer matrix [[R, −I], [I, R]] of the real and
     imaginary parts of C is similar over C to C ⊕ C̄, so it has every
     exponent twice. Its exponents are the orders of the pivots of a
-    fraction-free elimination over Z[u]/(u^K) (`_pivot_orders`), K doubled
-    from 4 until min(rows, cols) pivots are found or K passes the sum over
-    the nonzero rows of their largest degree in C (a zero row adds 0, not
-    −1): no nonzero minor of C has a higher order than that, so the pivots
-    found are then the normal rank."""
+    fraction-free elimination over Z[u]/(u^K) (`_pivot_orders`) of C
+    built modulo u^K, K doubled from 4 until as many pivots are found as
+    the normal rank: min(rows, cols) when the first pass finds so many,
+    and otherwise the rank that `_normal_rank` certifies."""
     b = lcm(lam.re.denominator, lam.im.denominator)
     a = int(lam.re.numerator) * (b // lam.re.denominator)
     c = int(lam.im.numerator) * (b // lam.im.denominator)
@@ -415,37 +415,87 @@ def _local_exponents(M: RatMat, lam: GaussRat) -> tuple:
              if e.num.nums else None for e in row] for row in M.entries]
     s = max(0, max(vd - vn for row in grid
                    for (vn, _), (vd, _) in filter(None, row)))
-    re, im = [], []
-    for row in grid:
-        dens = list({d: None for _, (_, d) in filter(None, row)})
-        re.append([])
-        im.append([])
-        for cell in row:
-            if cell is None:
-                re[-1].append([])
-                im[-1].append([])
-                continue
-            (vn, n), (vd, d) = cell
-            for other in dens:
-                if other != d:
-                    n = _gauss_mul(n, other)
-            pad = [0] * (vn - vd + s)
-            re[-1].append(pad + list(n[0]))
-            if c:
-                im[-1].append(pad + list(n[1]))
-    if c:
-        rows = [x + [[-t for t in y] for y in z] for x, z in zip(re, im)]
-        rows += [z + x for x, z in zip(re, im)]
-    else:
-        rows = re
-    bound = sum(max(0, max(map(len, row)) - 1) for row in rows)
-    k, full = 4, min(len(rows), len(rows[0]))
-    while True:
-        orders = _pivot_orders(rows, k)
-        if len(orders) == full or k > bound:
-            break
-        k *= 2
-    return tuple(v - s for v in orders[::2 if c else 1])
+
+    def cleared(k):
+        """The rows of C modulo u^k; for a non-real lam, those of the
+        matrix [[R, −I], [I, R]] of its real and imaginary parts."""
+        re, im = [], []
+        for row in grid:
+            dens = list({d: None for _, (_, d) in filter(None, row)})
+            re.append([])
+            im.append([])
+            for cell in row:
+                pad = k if cell is None else cell[0][0] - cell[1][0] + s
+                if pad >= k:
+                    re[-1].append([])
+                    im[-1].append([])
+                    continue
+                (_, n), (_, d) = cell
+                for other in dens:
+                    if other != d:
+                        n = _gauss_mul(n, other, k - pad)
+                re[-1].append([0] * pad + list(n[0][:k - pad]))
+                if c:
+                    im[-1].append([0] * pad + list(n[1][:k - pad]))
+        if not c:
+            return re
+        return ([x + [[-t for t in y] for y in z] for x, z in zip(re, im)]
+                + [z + x for x, z in zip(re, im)])
+
+    k, copies = 4, 2 if c else 1
+    orders = _pivot_orders(cleared(k), k)
+    if len(orders) < min(len(grid), len(grid[0])) * copies:
+        rank = _normal_rank(M) * copies
+        while len(orders) < rank:
+            k *= 2
+            orders = _pivot_orders(cleared(k), k)
+    return tuple(v - s for v in orders[::copies])
+
+
+def _normal_rank(M: RatMat) -> int:
+    """The rank of M over the rational functions, exactly: the largest rank
+    of P = diag(lᵢ) M, lᵢ the least common denominator of row i, at the
+    integers 0, 1, −1, 2, … An (r + 1)-minor of P is a polynomial of
+    degree at most D, the sum of the r + 1 largest row degrees of P; if it
+    is not zero, it is not zero at one of any D + 1 points. So the largest
+    rank r seen is the normal rank once it is full or D + 1 points have
+    been seen."""
+    rows = []  # the nonzero rows of P, integer coefficients
+    for row in M.entries:
+        if any(e.num.nums for e in row):
+            l = _P_ONE
+            for den in {e.den for e in row}:
+                l = poly_lcm(l, den)
+            polys = [e.num * (l // e.den) for e in row]
+            w = lcm(*(p.den for p in polys))
+            rows.append([[t * (w // p.den) for t in p.nums] for p in polys])
+    degs = sorted((max(map(len, row)) - 1 for row in rows), reverse=True)
+    full = min(len(rows), sum(map(any, zip(*rows))))
+    top = max(degs, default=0) + 1
+    rank, seen, x = 0, 0, 0
+    while rank < full and seen <= sum(degs[:rank + 1]):
+        powers = [x ** k for k in range(top)]
+        rank = max(rank, _int_rank([[sum(map(mul, p, powers)) for p in row]
+                                    for row in rows]))
+        seen += 1
+        x = -x if x > 0 else 1 - x
+    return rank
+
+
+def _int_rank(a):
+    """The rank over Q of an integer matrix held as a list of rows, by
+    Bareiss's fraction-free elimination: each step divides exactly by the
+    previous pivot, so every entry stays a minor of the matrix."""
+    rank, prev = 0, 1
+    while a:
+        row = a.pop()
+        j = next((j for j, t in enumerate(row) if t), None)
+        if j is not None:
+            rank, p = rank + 1, row[j]
+            a = [[(p * t - r[j] * s) // prev for s, t in zip(row, r)]
+                 for r in a]
+            prev = p
+    return rank
 
 
 def _shift(p, scale, a, c, bpow):
@@ -477,13 +527,14 @@ def _unit_part(re, im):
     return v, (tuple(re[v:]), None if im is None else tuple(im[v:]))
 
 
-def _gauss_mul(x, y):
-    """The product of two Gaussian-integer polynomials held as (re, im)."""
+def _gauss_mul(x, y, k):
+    """The coefficients below degree k of the product of two
+    Gaussian-integer polynomials held as (re, im)."""
     (xr, xi), (yr, yi) = x, y
     if xi is None:
-        return _conv(xr, yr), None
-    return ([p - q for p, q in zip(_conv(xr, yr), _conv(xi, yi))],
-            [p + q for p, q in zip(_conv(xr, yi), _conv(xi, yr))])
+        return _conv(xr, yr, k), None
+    return ([p - q for p, q in zip(_conv(xr, yr, k), _conv(xi, yi, k))],
+            [p + q for p, q in zip(_conv(xr, yi, k), _conv(xi, yr, k))])
 
 
 def _order(x):

@@ -22,7 +22,7 @@ from meromat.errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from meromat.exactalg import QQ, Poly, RatFn, real_factor
+from meromat.exactalg import QQ, GaussRat, Poly, RatFn, real_factor
 from meromat.holomat import (
     Contour,
     QuasiPolyEntry,
@@ -39,7 +39,7 @@ from meromat.holomat import (
     tds_state_block,
 )
 from meromat.polymat import PolyMat
-from meromat.ratmat import RatMat
+from meromat.ratmat import RatMat, RootHandle
 from meromat.sysmat import Amd, is_irreducible, transfer_function
 
 Z = Poly.z()
@@ -575,20 +575,22 @@ class TestLocalIndices:
             exact = ratmat.pole_zero_index(m, 0).values
             if max(exact) > 8:
                 continue
-            assert local_indices(m, 0).values == exact
+            assert local_indices(Wrapped(m), 0).values == exact
             checked += 1
 
     def test_kmax_too_small(self):
         from meromat.errors import ConvergenceError
 
-        m = RatMat([[RatFn.coerce(Z ** 4)]])
+        m = Wrapped(RatMat([[RatFn.coerce(Z ** 4)]]))
         with pytest.raises(ConvergenceError):
             local_indices(m, 0, kmax=2)
 
     def test_kmax_bounds(self):
         # the work grows with kmax: 0 to 64 is taken, anything else refused
-        assert local_indices(PolyMat([[Z + ONE]]), 0, kmax=0).values == (0,)
-        assert local_indices(PolyMat([[Z ** 4]]), 0, kmax=64).values == (4,)
+        assert local_indices(Wrapped(PolyMat([[Z + ONE]])), 0,
+                             kmax=0).values == (0,)
+        assert local_indices(Wrapped(PolyMat([[Z ** 4]])), 0,
+                             kmax=64).values == (4,)
         for kmax in (-1, 65, 10 ** 6):
             with pytest.raises(InputError,
                                match=f"kmax must be from 0 to 64, not {kmax}"):
@@ -727,7 +729,7 @@ class TestLocalIndicesOracle:
         for m in (zero, spread):
             assert len(ratmat.pole_zero_index(m, 0).values) == 2
             with pytest.raises(ConvergenceError, match="1 of 2 indices"):
-                local_indices(m, 0)
+                local_indices(Wrapped(m), 0)
 
     def test_draws_no_random_points(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -735,20 +737,36 @@ class TestLocalIndicesOracle:
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
         m = RatMat([[RatFn(ONE, Z), RatFn(0)], [RatFn(0), RatFn.coerce(Z)]])
-        assert local_indices(m, 0).values == (-1, 1)
+        assert local_indices(Wrapped(m), 0).values == (-1, 1)
 
     @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
                         reason="numpy < 2 loads numpy.random eagerly")
     def test_leaves_numpy_random_unloaded(self):
+        # the numeric local indices, the sampled normal rank and the AMD
+        # of a delay system
         code = (
             "import sys\n"
-            "from meromat.exactalg import Poly, RatFn\n"
-            "from meromat.holomat import local_indices\n"
+            "from meromat.exactalg import QQ, Poly, RatFn\n"
+            "from meromat.holomat import (TdsData, build_tds_amd,\n"
+            "                             local_indices, nrank_sampled)\n"
             "from meromat.ratmat import RatMat\n"
+            "class Wrapped:\n"
+            "    def __init__(self, m):\n"
+            "        self.m, self.shape = m, m.shape\n"
+            "    def eval_many(self, zs):\n"
+            "        return self.m.eval_many(zs)\n"
+            "    def eval_pair_many(self, zs):\n"
+            "        return self.m.eval_pair_many(zs)\n"
             "z = Poly.z()\n"
             "m = RatMat([[RatFn(Poly.one(), z), RatFn(0)],\n"
             "            [RatFn(0), RatFn.coerce(z)]])\n"
-            "assert local_indices(m, 0).values == (-1, 1)\n"
+            "assert local_indices(Wrapped(m), 0).values == (-1, 1)\n"
+            "assert nrank_sampled(m) == 2\n"
+            "tds = TdsData(A0=((0, 1), (-1, 0)),\n"
+            "              A_delayed=((((0, 0), (QQ(1, 2), 0)), 1),),\n"
+            "              B_terms=((((1,), (0,)), 0),),\n"
+            "              C_terms=((((1, 0),), 0),))\n"
+            "assert build_tds_amd(tds).state_dim == 2\n"
             "print('numpy.random' in sys.modules)\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -849,10 +867,12 @@ class TestRank:
         assert nrank_sampled(FixedSamples([empty] * 16)) == 1
 
     def test_sample_points_drawn_once(self, monkeypatch):
+        # the points are the seeded draws, written out bit for bit, and
+        # no rank call draws them again
         rng = np.random.default_rng(715225741)
         want = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 for _ in range(16)]
-        got = holomat._sample_points()
+        got = holomat._SAMPLE_POINTS
         assert bits(got).tolist() == bits(want).tolist()
 
         def no_draws(*args):
@@ -861,7 +881,6 @@ class TestRank:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         m = PolyMat([[Z, ONE], [ONE, Z]])
         assert nrank_sampled(m) == 2
-        assert holomat._sample_points() is got
 
     @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
     def test_empty_shape_has_rank_zero(self, shape):
@@ -1146,6 +1165,92 @@ class TestSampledPoleOrder:
             assert ratmat.pole_zero_index(m, 0).values == want
             assert local_indices(Wrapped(m), 0).values == want
         assert local_indices(Wrapped(PolyMat([[Z * Z]])), 0).values == (2,)
+
+
+class TestExactLocalIndices:
+    """A RatMat or PolyMat at an exact point is answered by the local
+    Smith-McMillan form of pole_zero_index, with no evaluation; a float
+    point and every other matrix stay on the numeric reading."""
+
+    POINTS = (0, 1, -2, QQ(1, 2), QQ(-2, 3), GaussRat(1, 1),
+              GaussRat(QQ(1, 2), QQ(-3, 2)), RootHandle(exact=GaussRat(2)),
+              RootHandle(exact=GaussRat(0, 1)))
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def refuse(self, zs):
+            raise AssertionError("an exact query evaluated the matrix")
+
+        monkeypatch.setattr(linalg_exact.DenseMat, "eval_many", refuse)
+
+    def test_equals_pole_zero_index(self, no_evaluation):
+        rng = random.Random(31)
+        from genutil import rand_polymat
+
+        mats = oracle_cases()[:12]
+        mats += [rand_polymat(rng, 2, 2, 2), rand_polymat(rng, 3, 2, 2),
+                 PolyMat([[Z ** 3, ONE], [0, Z * (Z - 1)]])]
+        for m in mats:
+            as_rat = RatMat.from_polymat(m) if isinstance(m, PolyMat) else m
+            for lam in self.POINTS:
+                res = local_indices(m, lam)
+                assert res.point is lam
+                assert res.values == \
+                    ratmat.pole_zero_index(as_rat, lam).values, (m, lam)
+
+    @pytest.mark.parametrize("k", [11, 12, 14])
+    def test_high_order_zero_gives_every_index(self, k, no_evaluation):
+        # the matrices on which the numeric reading finds 1 of 2 indices
+        zero = RatMat([[RatFn.coerce(ONE), RatFn.coerce(ONE)],
+                       [RatFn.coerce(ONE), RatFn.coerce(ONE + Z ** k)]])
+        spread = RatMat([[RatFn(e.num, Z ** (k // 2)) for e in row]
+                         for row in zero.entries])
+        assert local_indices(zero, 0).values == (0, k)
+        assert local_indices(spread, 0).values == (-(k // 2), k - k // 2)
+
+    def test_another_pole_near_the_point(self, no_evaluation):
+        # a pole at 3 + 1/20, inside the circle of radius 0.1 that the
+        # numeric reading samples about 3: it raises AmbiguousRankError
+        # at both points
+        near = RatFn(ONE, Z - Poly.const(QQ(61, 20)))
+        m = RatMat([[RatFn(ONE, Z - 3), RatFn(0)],
+                    [near, RatFn((Z - 3) ** 2, Z + 1)]])
+        assert local_indices(m, 3).values == (-1, 2)
+        assert local_indices(m, QQ(61, 20)).values == (-1, 1)
+
+    def test_kmax_bounds_only_the_numeric_reading(self, no_evaluation):
+        m = PolyMat([[Z ** 20]])
+        assert local_indices(m, 0, kmax=0).values == (20,)
+        with pytest.raises(InputError, match="kmax must be from 0 to 64"):
+            local_indices(m, 0, kmax=65)
+
+    def test_inexact_points_stay_numeric(self, monkeypatch):
+        m = RatMat([[RatFn(ONE, Z * Z - 2), RatFn(ONE, Z - 1)]])
+        want = [(1.0, (-1,)), (1 + 0j, (-1,)), (2 ** 0.5, (-1,)),
+                (0.5, (0,))]
+        want += [(h, (-1,)) for h, _ in ratmat.poly_roots(Z * Z - 2)]
+        evaluated = []
+        real = linalg_exact.DenseMat.eval_many
+
+        def counted(self, zs):
+            evaluated.append(len(zs))
+            return real(self, zs)
+
+        monkeypatch.setattr(linalg_exact.DenseMat, "eval_many", counted)
+        for lam, values in want:
+            evaluated.clear()
+            got = local_indices(m, lam).values
+            assert got == values and evaluated, lam
+            assert got == local_indices(Wrapped(m), lam).values
+
+    def test_gauss_rat_point_on_a_quasipolymat(self):
+        # z e^-z: a simple zero at 0, regular elsewhere; the numeric
+        # reading takes the point's complex value
+        m = QuasiPolyMat([[qp([(Z, QQ(1))])]])
+        assert local_indices(m, GaussRat(0)).values == (1,)
+        assert local_indices(m, GaussRat(QQ(1, 2), 1)).values == (0,)
+        res = local_indices(m, RootHandle(exact=GaussRat(0, 1)))
+        assert res.values == (0,)
 
 
 class TestTransferFunctionPoles:

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -818,6 +819,58 @@ class TestIndexOracle:
                                                       for t in want)
             assert pole_index(m, lam).values == tuple(max(-t, 0)
                                                       for t in want)
+
+
+class TestNormalRank:
+    """The elimination of the index queries stops at the normal rank, which
+    _normal_rank certifies from ranks at integer points, rather than
+    doubling its truncation up to a degree bound (K = 256 and 7 s at 1 + i
+    on the 6 x 5 product below)."""
+
+    def test_against_rank_over_the_rational_functions(self):
+        rng = random.Random(31)
+        for k in range(30):
+            rows, inner, cols = rng.randint(1, 4), rng.randint(1, 3), \
+                rng.randint(1, 4)
+            m = rand_ratmat(rng, rows, inner) @ rand_ratmat(rng, inner, cols)
+            if k % 3 == 0:  # a zero row
+                m = RatMat([[RatFn(0)] * cols] + list(m.entries))
+            assert ratmat._normal_rank(m) == linalg_exact.rank(m.entries)
+        assert ratmat._normal_rank(RatMat.zeros(2, 3)) == 0
+        assert ratmat._normal_rank(RatMat([], 2)) == 0
+
+    def test_poles_at_the_integer_points(self):
+        # every entry has poles at 0, ±1 and ±2, the first points taken;
+        # the ranks there are those of diag(lᵢ) M, a polynomial matrix
+        d = Z * (Z * Z - ONE) * (Z * Z - Poly.const(4))
+        m = RatMat([[RatFn(ONE, d), RatFn(Z, d)],
+                    [RatFn(Z, d), RatFn(Z * Z, d)]])
+        assert ratmat._normal_rank(m) == 1
+        assert pole_zero_index(m, 0).values == (-1,)
+
+    @pytest.mark.parametrize("rows, inner, cols", [(6, 3, 5), (4, 2, 3)])
+    def test_rank_deficient_products(self, rows, inner, cols, monkeypatch):
+        rng = random.Random(5)
+        m = rand_ratmat(rng, rows, inner) @ rand_ratmat(rng, inner, cols)
+        assert ratmat._normal_rank(m) == inner
+        passes = record_calls(monkeypatch, ratmat, "_pivot_orders")
+        # a full collection now, so that no garbage of earlier tests is
+        # collected inside the timed calls; the 6 x 5 product takes about
+        # 7 ms at 1 + i on a 2-vCPU VM, and up to twice that while the VM
+        # is shared, so the bound leaves room above 10 ms
+        gc.collect()
+        for lam in (GaussRat(1, 1), QQ(1, 3)):
+            best = None
+            for _ in range(5):
+                passes.clear()
+                start = time.perf_counter()
+                got = pole_zero_index(m, lam).values
+                took = time.perf_counter() - start
+                best = took if best is None else min(best, took)
+            assert best < 0.025, (lam, best)
+            assert got == (0,) * inner
+            # one elimination, at the first truncation
+            assert len(passes) == 1
 
 
 class TestIndexScale:
